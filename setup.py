@@ -5,11 +5,24 @@ without the ``wheel``/``build`` toolchain (``pip install -e .`` works from a
 bare setuptools).
 """
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+
+def read_version() -> str:
+    """``__version__`` of ``src/repro/__init__.py``, the single version source."""
+    init = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+    match = re.search(r'^__version__ = "([^"]+)"$', init.read_text(), re.MULTILINE)
+    if match is None:
+        raise RuntimeError(f"no __version__ in {init}")
+    return match.group(1)
+
 
 setup(
     name="repro-cgrx",
-    version="1.7.0",
+    version=read_version(),
     description=(
         "Software reproduction of cgRX (ICDE 2025): hardware-accelerated "
         "coarse-granular GPU indexing, with vectorized and compiled batch "

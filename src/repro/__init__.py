@@ -40,7 +40,7 @@ from repro.baselines import (
 )
 from repro.gpu import RTX_4090, RTX_A6000, CostModel, GpuDevice
 
-__version__ = "1.1.0"
+__version__ = "1.8.0"
 
 __all__ = [
     "CgRXConfig",

@@ -4,9 +4,11 @@ Each experiment of the evaluation (Figures 1 and 9-18, Table I) has a
 corresponding function in :mod:`repro.bench.experiments` that builds the
 required indexes, runs the workload at a configurable (scaled-down) size and
 returns an :class:`~repro.bench.harness.ExperimentResult` whose rows mirror
-the series shown in the paper.  The ``benchmarks/`` directory wraps these
-functions in pytest-benchmark targets, and EXPERIMENTS.md records the
-measured shapes next to the paper's claims.
+the series shown in the paper.  The serving-stack experiments (``serving``,
+``hotpath``, ``lifecycle``, ``obs``, ...) follow the same shape.  Run them
+with ``python -m repro.bench.experiments [names...]`` or the ``repro-bench``
+console script (``--list`` names them all; ``--json`` writes the
+``BENCH_<name>.json`` snapshots committed at the repository root).
 """
 
 from repro.bench.harness import ExperimentResult, format_table, run_experiment

@@ -2630,7 +2630,8 @@ def run_all(
     """Run all (or the selected) experiments and return their results.
 
     ``quick=True`` is forwarded to every experiment that supports a ``quick``
-    parameter (currently ``hotpath`` and ``lifecycle``); the others ignore it.
+    parameter (currently ``lifecycle``, ``hotpath``, ``obs``, ``adaptive``,
+    ``durability`` and ``reliability``); the others ignore it.
     """
     import inspect
 
@@ -2647,7 +2648,7 @@ def run_all(
     return results
 
 
-def main() -> None:
+def main() -> int:
     """Command-line entry point: run and print the selected experiments.
 
     ``--json`` (working directory) or ``--json=DIR`` additionally writes each
@@ -2656,7 +2657,8 @@ def main() -> None:
     ``=`` so experiment names are never mistaken for an output path.
     ``--quick`` shrinks the workloads of experiments that support it (used by
     the CI perf-smoke job).  ``--list`` prints every experiment name with a
-    one-line description and exits.
+    one-line description and exits.  An unknown experiment name prints the
+    available names and exits with status 2 before anything runs.
     """
     import sys
 
@@ -2673,9 +2675,17 @@ def main() -> None:
         elif argument == "--list":
             for line in list_experiments():
                 print(line)
-            return
+            return 0
         else:
             arguments.append(argument)
+    unknown = [name for name in arguments if name not in ALL_EXPERIMENTS]
+    if unknown:
+        print(
+            f"unknown experiment(s): {', '.join(unknown)}\n"
+            f"available: {', '.join(sorted(ALL_EXPERIMENTS))}",
+            file=sys.stderr,
+        )
+        return 2
     names = arguments or None
     for result in run_all(names, quick=quick):
         result.print()
@@ -2683,7 +2693,8 @@ def main() -> None:
         if json_dir is not None:
             path = result.save_json(json_dir)
             print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

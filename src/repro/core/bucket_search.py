@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.config import BucketLayout, SearchStrategy
 from repro.gpu.cost_model import UNCOALESCED_ACCESS_BYTES
 from repro.gpu.simt import COOPERATIVE_GROUP_SIZE, cooperative_scan_steps
@@ -93,6 +95,34 @@ class BucketSearchModel:
             compute_ops = probes + trailing_steps * self.group_size
 
         return BucketSearchCost(bytes_read=bytes_read, compute_ops=compute_ops)
+
+    def point_search_total(self, bucket_size: int, entries_scanned) -> BucketSearchCost:
+        """Summed :meth:`point_search` work of a whole lookup batch.
+
+        ``entries_scanned`` holds one count per lookup; lookups that scanned
+        nothing (``<= 0``, out-of-range misses) cost nothing.  Integer-exact
+        with summing :meth:`point_search` over the positive entries.
+        """
+        scanned = np.asarray(entries_scanned, dtype=np.int64)
+        scanned = scanned[scanned > 0]
+        searches = int(scanned.size)
+        group = self.group_size
+        if self.strategy is SearchStrategy.LINEAR:
+            # A cooperative scan touches exactly the entries it scanned.
+            touched = int(scanned.sum())
+            return BucketSearchCost(
+                bytes_read=touched * self.entry_bytes + searches * self.rowid_bytes,
+                compute_ops=touched,
+            )
+        bucket_size = max(1, int(bucket_size))
+        probes = max(1, math.ceil(math.log2(bucket_size + 1)))
+        trailing = np.maximum(scanned - bucket_size, 0)
+        trailing_entries = int(((trailing + group - 1) // group).sum()) * group
+        return BucketSearchCost(
+            bytes_read=searches * (probes * self._probe_bytes() + self.rowid_bytes)
+            + trailing_entries * self.entry_bytes,
+            compute_ops=searches * probes + trailing_entries,
+        )
 
     def range_scan(self, entries_scanned: int) -> BucketSearchCost:
         """Work of the cooperative scan answering a range lookup.

@@ -249,18 +249,21 @@ class CgRXIndex(GpuIndex):
         stats.bytes_read += ray_bytes
 
         # Bucket-search stage: a cooperative-group kernel per batch.
-        search_bytes = 0
-        search_ops = 0
-        bucket_size = self.bucketed.bucket_size
-        for scanned in entries_scanned:
-            if scanned <= 0:
-                continue
-            if range_mode:
+        if range_mode:
+            search_bytes = 0
+            search_ops = 0
+            for scanned in entries_scanned:
+                if scanned <= 0:
+                    continue
                 cost = self.search_model.range_scan(int(scanned))
-            else:
-                cost = self.search_model.point_search(bucket_size, int(scanned))
-            search_bytes += cost.bytes_read
-            search_ops += cost.compute_ops
+                search_bytes += cost.bytes_read
+                search_ops += cost.compute_ops
+        else:
+            cost = self.search_model.point_search_total(
+                self.bucketed.bucket_size, entries_scanned
+            )
+            search_bytes = cost.bytes_read
+            search_ops = cost.compute_ops
         stats.bytes_read += search_bytes
         stats.compute_ops += search_ops
 

@@ -139,19 +139,42 @@ class LogBucketHistogram:
         """Vectorized bulk record: one searchsorted + bincount per batch.
 
         Accepts any array-like; no per-element ``float()`` conversion happens
-        (the churn the exact-sample histogram suffered from).
+        (the churn the exact-sample histogram suffered from).  ``total`` grows
+        by the pairwise ``values.sum()``; use :meth:`record_ordered` where it
+        must match recording the values one by one.
         """
+        values = self._record_buckets(values)
+        if values is not None:
+            self.total += float(values.sum())
+
+    def record_ordered(self, values) -> None:
+        """Bulk record whose ``total`` is bit-identical to calling
+        :meth:`record` on every value in order.
+
+        ``np.add.accumulate`` folds ``[total, *values]`` strictly left to
+        right, whereas ``values.sum()`` sums pairwise and can differ in the
+        last bits of the mean.
+        """
+        values = self._record_buckets(values)
+        if values is not None:
+            self.total = float(
+                np.add.accumulate(np.concatenate(([self.total], values)))[-1]
+            )
+
+    def _record_buckets(self, values) -> Optional[np.ndarray]:
+        """Bucket counts, count and extrema of a bulk record (``total`` is
+        left to the caller); returns the values, or ``None`` when empty."""
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
-            return
+            return None
         positions = np.searchsorted(self.edges, values, side="left")
         self.bucket_counts += np.bincount(
             positions, minlength=self.bucket_counts.size
         )
         self.count += int(values.size)
-        self.total += float(values.sum())
         self.min = min(self.min, float(values.min()))
         self.max = max(self.max, float(values.max()))
+        return values
 
     def merge(self, other: "LogBucketHistogram") -> None:
         """Fold ``other`` into this histogram (same fixed boundary layout)."""
@@ -301,14 +324,19 @@ class TelemetryRegistry:
         self._last_sample_ms = float(now_ms)
         return point
 
-    def maybe_sample(self, now_ms: float) -> bool:
-        """Sample if the configured interval elapsed on the simulated clock."""
+    def sample_due(self, now_ms: float) -> bool:
+        """Whether :meth:`maybe_sample` would take a snapshot at ``now_ms``
+        (lets a caller flush buffered records into the registry first)."""
         if not self.sample_interval_ms:
             return False
-        if (
-            self._last_sample_ms is not None
-            and now_ms - self._last_sample_ms < self.sample_interval_ms
-        ):
+        return (
+            self._last_sample_ms is None
+            or now_ms - self._last_sample_ms >= self.sample_interval_ms
+        )
+
+    def maybe_sample(self, now_ms: float) -> bool:
+        """Sample if the configured interval elapsed on the simulated clock."""
+        if not self.sample_due(now_ms):
             return False
         self.sample(now_ms)
         return True

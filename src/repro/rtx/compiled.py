@@ -547,6 +547,8 @@ def _pointer(array: np.ndarray) -> ctypes.c_void_p:
 
 
 def _make_cc_axis(library: ctypes.CDLL):
+    """The C axis kernel; its 11 node-table arguments arrive as ready-made
+    pointers (:meth:`CompiledBvhTables.kernel_args`)."""
     fn = library.trace_axis_closest
     fn.restype = None
 
@@ -585,17 +587,17 @@ def _make_cc_axis(library: ctypes.CDLL):
             _pointer(coord_b),
             _pointer(best_t),
             ctypes.c_double(tolerance),
-            _pointer(qbounds),
-            _pointer(frame_min),
-            _pointer(frame_scale),
-            _pointer(node_min),
-            _pointer(node_max),
-            _pointer(node_left),
-            _pointer(node_right),
-            _pointer(node_first),
-            _pointer(node_count),
-            _pointer(order),
-            _pointer(centroids),
+            qbounds,
+            frame_min,
+            frame_scale,
+            node_min,
+            node_max,
+            node_left,
+            node_right,
+            node_first,
+            node_count,
+            order,
+            centroids,
             _pointer(hit),
             _pointer(best_tri),
             _pointer(nodes_visited),
@@ -773,6 +775,7 @@ class CompiledBvhTables:
 
     def __init__(self, bvh: Bvh, arena: Arena) -> None:
         self.arena = arena
+        self._pointers: Optional[Tuple[ctypes.c_void_p, ...]] = None
         self.stack_depth = (bvh.depth() + 3) if bvh.num_nodes else 0
         self.usable = 0 < bvh.num_nodes and self.stack_depth <= MAX_STACK
         if not self.usable:
@@ -813,6 +816,32 @@ class CompiledBvhTables:
         np.copyto(self.order, bvh.primitive_order)
         self.centroids = arena.alloc((bvh.scene.centres.shape[0], 3), np.float64)
         np.copyto(self.centroids, bvh.scene.centres)
+
+    def kernel_args(self, pointers: bool) -> Tuple:
+        """The 11 node-table arguments of the axis kernel, in kernel order.
+
+        With ``pointers`` (the C backend) they are ctypes pointers, built on
+        the first launch and reused: the arrays are assigned only in
+        ``__init__`` and live as long as the tables.
+        """
+        arrays = (
+            self.qbounds,
+            self.frame_min,
+            self.frame_scale,
+            self.node_min,
+            self.node_max,
+            self.node_left,
+            self.node_right,
+            self.node_first,
+            self.node_count,
+            self.order,
+            self.centroids,
+        )
+        if not pointers:
+            return arrays
+        if self._pointers is None:
+            self._pointers = tuple(_pointer(array) for array in arrays)
+        return self._pointers
 
     def verify_conservative(self, bvh: Bvh) -> bool:
         """Check the outward-rounding invariant (used by the property test)."""
@@ -871,17 +900,7 @@ def trace_axis_closest_batch(
         coord_b,
         best_t,
         float(tolerance),
-        tables.qbounds,
-        tables.frame_min,
-        tables.frame_scale,
-        tables.node_min,
-        tables.node_max,
-        tables.node_left,
-        tables.node_right,
-        tables.node_first,
-        tables.node_count,
-        tables.order,
-        tables.centroids,
+        *tables.kernel_args(pointers=available_backend() == "cc"),
         hit,
         best_tri,
         nodes_visited,

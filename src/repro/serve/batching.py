@@ -12,7 +12,9 @@ shard and dispatches a batch when either
 The scheduler runs on a simulated clock: requests carry arrival timestamps
 (from the request-stream generators in :mod:`repro.workloads.requests`) and
 batches record their dispatch time, so per-request queueing delay is exact
-and reproducible.
+and reproducible.  It keeps the earliest timeout deadline over all queues as
+a horizon, so a poll before that horizon costs O(1) instead of a scan of
+every shard queue.
 """
 
 from __future__ import annotations
@@ -105,6 +107,9 @@ class BatchScheduler:
         self._queues: Dict[int, _ShardQueue] = {}
         self._dispatched = 0
         self._last_arrival_ms = float("-inf")
+        #: Earliest timeout deadline (queue head + ``max_wait_ms``) over all
+        #: non-empty queues; ``inf`` while every queue is empty.
+        self._next_deadline_ms = float("inf")
 
     @property
     def num_dispatched(self) -> int:
@@ -138,12 +143,17 @@ class BatchScheduler:
 
         due = self._flush_expired(arrival_ms)
         queue = self._queues.setdefault(int(shard_id), _ShardQueue())
+        if not queue.arrival_ms:
+            deadline = float(arrival_ms) + self.policy.max_wait_ms
+            if deadline < self._next_deadline_ms:
+                self._next_deadline_ms = deadline
         queue.keys.append(int(key))
         queue.request_ids.append(int(request_id))
         queue.arrival_ms.append(float(arrival_ms))
         queue.tenant_ids.append(int(tenant_id))
         if len(queue) >= self.policy.max_batch_size:
             due.append(self._dispatch(int(shard_id), queue, float(arrival_ms), "full"))
+            self._recompute_deadline()
         return due
 
     def poll(self, now_ms: float) -> List[Batch]:
@@ -152,7 +162,9 @@ class BatchScheduler:
         Serving loops call this on *every* event (including requests answered
         elsewhere, e.g. from a cache), so timed-out batches are dispatched as
         soon as simulated time passes their deadline rather than waiting for
-        the next enqueued request.
+        the next enqueued request.  Most polls find nothing due: before the
+        earliest queue deadline a poll returns an empty list in O(1), and the
+        caller can skip executing and committing batches altogether.
         """
         if now_ms < self._last_arrival_ms:
             raise ValueError("time must be polled in non-decreasing order")
@@ -167,18 +179,32 @@ class BatchScheduler:
             if len(queue):
                 dispatch_ms = min(float(now_ms), queue.deadline_ms + self.policy.max_wait_ms)
                 batches.append(self._dispatch(shard_id, queue, dispatch_ms, "drain"))
+        self._next_deadline_ms = float("inf")
         return batches
 
     # -------------------------------------------------------------- internals
 
     def _flush_expired(self, now_ms: float) -> List[Batch]:
+        if now_ms < self._next_deadline_ms:
+            return []
         batches: List[Batch] = []
         for shard_id in sorted(self._queues):
             queue = self._queues[shard_id]
             deadline = queue.deadline_ms + self.policy.max_wait_ms
             if len(queue) and deadline <= now_ms:
                 batches.append(self._dispatch(shard_id, queue, deadline, "timeout"))
+        self._recompute_deadline()
         return batches
+
+    def _recompute_deadline(self) -> None:
+        self._next_deadline_ms = min(
+            (
+                queue.arrival_ms[0] + self.policy.max_wait_ms
+                for queue in self._queues.values()
+                if queue.arrival_ms
+            ),
+            default=float("inf"),
+        )
 
     def _dispatch(
         self, shard_id: int, queue: _ShardQueue, dispatch_ms: float, reason: str

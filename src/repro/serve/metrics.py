@@ -1,10 +1,13 @@
 """Serving telemetry: latency percentiles, throughput, cache and shard health.
 
-A :class:`MetricsRegistry` is attached to every served deployment.  The hot
-path records one latency sample per request (queueing delay plus the share of
-the device batch the request rode in) and bumps counters; :meth:`snapshot`
-reduces everything into the flat dict the serving experiment reports —
-p50/p99 latency, request throughput, cache hit rate and shard skew.
+A :class:`MetricsRegistry` is attached to every served deployment.  Every
+served request contributes one latency sample (queueing delay plus the share
+of the device batch the request rode in) and a client count; the serving loop
+buffers those records per stream and hands them over in bulk
+(:meth:`MetricsRegistry.record_requests`, :meth:`~MetricsRegistry.record_clients`),
+so the registry is called once per flush or per batch, not once per request.
+:meth:`snapshot` reduces everything into the flat dict the serving experiment
+reports — p50/p99 latency, request throughput, cache hit rate and shard skew.
 
 Since the observability PR the registry is a façade over a labeled
 :class:`repro.obs.TelemetryRegistry`: every counter, per-shard load and
@@ -24,7 +27,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.obs.telemetry import LogBucketHistogram, TelemetryRegistry
+from repro.obs.telemetry import Counter, LogBucketHistogram, TelemetryRegistry
 
 #: Labeled instrument names the façade records into.
 EVENTS_METRIC = "serve_events_total"
@@ -118,6 +121,14 @@ class MetricsRegistry:
     Façade over a labeled :class:`TelemetryRegistry`: the historical dict
     attributes (``counters``, ``shard_requests``, ...) are read-only views
     materialised from the labeled instruments.
+
+    Recording is bulk-first: :meth:`record_requests`, :meth:`record_clients`
+    and :meth:`record_tenant_requests` take a whole batch or stream buffer in
+    arrival order, and the single-request methods delegate to them.  A bulk
+    record leaves every counter, histogram (``total`` included, to the last
+    bit) and the exact per-request log in the state that recording the same
+    requests one by one would.  Event counters are looked up once and
+    cached.
     """
 
     def __init__(
@@ -150,6 +161,8 @@ class MetricsRegistry:
         #: histogram above is the bounded-memory production analogue).
         self.request_arrivals: List[float] = []
         self.request_latencies: List[float] = []
+        #: Event counters by name (looked up once, see :meth:`bump`).
+        self._events: Dict[str, Counter] = {}
 
     def _histogram(self, name: str) -> BoundedLatencyHistogram:
         return self.telemetry.get_or_create(name, BoundedLatencyHistogram)
@@ -217,20 +230,47 @@ class MetricsRegistry:
     # --------------------------------------------------------------- recording
 
     def bump(self, counter: str, amount: int = 1) -> None:
-        self.telemetry.counter(EVENTS_METRIC, event=counter).inc(int(amount))
+        instrument = self._events.get(counter)
+        if instrument is None:
+            instrument = self.telemetry.counter(EVENTS_METRIC, event=counter)
+            self._events[counter] = instrument
+        instrument.inc(int(amount))
+
+    def record_requests(self, latencies_ms, arrivals_ms, completions_ms) -> None:
+        """Record served requests, aligned and in arrival order.
+
+        The exact per-request log keeps the given float objects (a list of
+        Python floats is shared, not copied element by element), and the
+        latency histogram's ``total`` is the left-to-right sum.
+        """
+        count = len(latencies_ms)
+        if count == 0:
+            return
+        self.latency.record_ordered(latencies_ms)
+        self.request_arrivals.extend(map(float, arrivals_ms))
+        self.request_latencies.extend(map(float, latencies_ms))
+        self.bump("requests", count)
+        first = float(min(arrivals_ms))
+        if self.first_arrival_ms is None or first < self.first_arrival_ms:
+            self.first_arrival_ms = first
+        last = float(max(completions_ms))
+        if self.last_completion_ms is None or last > self.last_completion_ms:
+            self.last_completion_ms = last
 
     def record_request(self, latency_ms: float, arrival_ms: float, completion_ms: float) -> None:
-        self.latency.record(latency_ms)
-        self.request_arrivals.append(float(arrival_ms))
-        self.request_latencies.append(float(latency_ms))
-        self.bump("requests")
-        if self.first_arrival_ms is None or arrival_ms < self.first_arrival_ms:
-            self.first_arrival_ms = float(arrival_ms)
-        if self.last_completion_ms is None or completion_ms > self.last_completion_ms:
-            self.last_completion_ms = float(completion_ms)
+        self.record_requests((latency_ms,), (arrival_ms,), (completion_ms,))
+
+    def record_clients(self, client_ids) -> None:
+        """Count one request per entry of ``client_ids`` (one ``inc`` per
+        distinct client)."""
+        clients, counts = np.unique(
+            np.asarray(client_ids, dtype=np.int64), return_counts=True
+        )
+        for client, count in zip(clients.tolist(), counts.tolist()):
+            self.telemetry.counter(CLIENT_REQUESTS_METRIC, client=str(client)).inc(count)
 
     def record_client(self, client_id: int) -> None:
-        self.telemetry.counter(CLIENT_REQUESTS_METRIC, client=str(int(client_id))).inc()
+        self.record_clients((client_id,))
 
     def record_failover(self, latency_ms: float) -> None:
         """One read failed over to another replica (or emergency-restarted)."""
@@ -259,13 +299,23 @@ class MetricsRegistry:
             float(end_ms) - float(start_ms)
         )
 
+    def record_tenant_requests(self, tenant_ids, latencies_ms) -> None:
+        """Served requests of labeled tenants (count + latency), aligned and
+        in arrival order; every tenant's histogram records its own requests
+        in that order."""
+        tenants = np.asarray(tenant_ids, dtype=np.int64)
+        latencies = np.asarray(latencies_ms, dtype=np.float64)
+        for tenant in np.unique(tenants).tolist():
+            mine = latencies[tenants == tenant]
+            label = str(tenant)
+            self.telemetry.counter(TENANT_REQUESTS_METRIC, tenant=label).inc(int(mine.size))
+            self.telemetry.get_or_create(
+                TENANT_LATENCY_METRIC, BoundedLatencyHistogram, tenant=label
+            ).record_ordered(mine)
+
     def record_tenant_request(self, tenant_id: int, latency_ms: float) -> None:
         """One served request of a labeled tenant (latency + count)."""
-        tenant = str(int(tenant_id))
-        self.telemetry.counter(TENANT_REQUESTS_METRIC, tenant=tenant).inc()
-        self.telemetry.get_or_create(
-            TENANT_LATENCY_METRIC, BoundedLatencyHistogram, tenant=tenant
-        ).record(float(latency_ms))
+        self.record_tenant_requests((tenant_id,), (latency_ms,))
 
     def record_shed(self, tenant_id: int, reason: str) -> None:
         """One request shed by admission control (never served)."""
@@ -298,11 +348,21 @@ class MetricsRegistry:
         self.bump("recoveries")
         self.bump("wal_records_replayed", int(replayed))
 
-    def record_shard_batch(self, shard_id: int, batch_size: int, busy_ms: float) -> None:
+    def record_shard_batch(
+        self,
+        shard_id: int,
+        batch_size: int,
+        busy_ms: float,
+        reason: Optional[str] = None,
+    ) -> None:
+        """One executed shard batch; ``reason`` (``"full"``, ``"timeout"``,
+        ``"drain"``) also counts it under ``batches_<reason>``."""
         shard = str(int(shard_id))
         self.telemetry.counter(SHARD_REQUESTS_METRIC, shard=shard).inc(int(batch_size))
         self.telemetry.counter(SHARD_BUSY_METRIC, shard=shard).inc(float(busy_ms))
         self.bump("batches")
+        if reason is not None:
+            self.bump(f"batches_{reason}")
 
     # --------------------------------------------------------------- reduction
 

@@ -51,6 +51,86 @@ from repro.workloads.keygen import KeySet
 from repro.workloads.requests import RequestStream
 
 
+#: Requests the serving loop converts to Python scalars at a time, and
+#: buffered request records after which it flushes its log into the metrics
+#: registry: both keep the loop's transient memory independent of the
+#: stream's length.
+_CHUNK_REQUESTS = 512
+
+
+def _stream_requests(stream: RequestStream, keys: np.ndarray):
+    """``(request_id, arrival_ms, key)`` of every request as Python scalars,
+    converted one chunk at a time instead of one numpy element at a time."""
+    if keys.dtype.kind not in "iu":
+        yield from stream
+        return
+    arrivals = np.asarray(stream.arrival_ms, dtype=np.float64)
+    count = len(stream)
+    for start in range(0, count, _CHUNK_REQUESTS):
+        stop = min(start + _CHUNK_REQUESTS, count)
+        yield from zip(
+            range(start, stop), arrivals[start:stop].tolist(), keys[start:stop].tolist()
+        )
+
+
+class _RequestLog:
+    """Per-stream buffer of served-request records, in recording order.
+
+    The serving loop appends one record per answered request (cache hits,
+    negative keys and batch riders alike) and :meth:`flush` hands the buffer
+    to the metrics registry in bulk, which leaves the registry exactly as
+    per-request recording would.
+    """
+
+    __slots__ = ("latencies", "arrivals", "completions", "request_ids", "tenants")
+
+    def __init__(self, tenants: bool) -> None:
+        self.latencies: list = []
+        self.arrivals: list = []
+        self.completions: list = []
+        self.request_ids: list = []
+        #: Tenant label per record; ``None`` for streams without tenants.
+        self.tenants: Optional[list] = [] if tenants else None
+
+    def append(self, latency, arrival, completion, request_id, tenant) -> None:
+        self.latencies.append(latency)
+        self.arrivals.append(arrival)
+        self.completions.append(completion)
+        self.request_ids.append(request_id)
+        if self.tenants is not None:
+            self.tenants.append(tenant)
+
+    def extend(self, latencies, arrivals, completions, request_ids, tenants) -> None:
+        """Append one batch's records (``tenants`` is ``None`` when the batch
+        carries no tenant labels)."""
+        self.latencies.extend(latencies)
+        self.arrivals.extend(arrivals)
+        self.completions.extend(completions)
+        self.request_ids.extend(request_ids)
+        if self.tenants is not None:
+            self.tenants.extend(
+                tenants if tenants is not None else [UNLABELED_TENANT] * len(latencies)
+            )
+
+    def flush(self, metrics: MetricsRegistry, client_ids: np.ndarray) -> None:
+        if not self.request_ids:
+            return
+        metrics.record_requests(self.latencies, self.arrivals, self.completions)
+        metrics.record_clients(client_ids[self.request_ids])
+        if self.tenants is not None:
+            tenants = np.asarray(self.tenants, dtype=np.int64)
+            labeled = tenants != UNLABELED_TENANT
+            if labeled.any():
+                metrics.record_tenant_requests(
+                    tenants[labeled], np.asarray(self.latencies)[labeled]
+                )
+            self.tenants.clear()
+        self.latencies.clear()
+        self.arrivals.clear()
+        self.completions.clear()
+        self.request_ids.clear()
+
+
 @dataclass(frozen=True)
 class ServeConfig:
     """Configuration of a served deployment."""
@@ -310,8 +390,12 @@ class ShardedIndex(GpuIndex):
         #: Trace ids of in-flight requests (cache-miss probes recorded before
         #: the batch that answers the request completes the trace).
         self._request_trace_ids = {}
-        #: Batch results awaiting their simulated completion time (serve_stream).
+        #: Batch results awaiting their simulated completion time (serve_stream),
+        #: and the earliest of those completion times.
         self._pending_fills = []
+        self._next_fill_ms = float("inf")
+        #: Buffered per-request records of the stream being served.
+        self._request_log = None
         #: Per-shard device horizon: a shard executes one batch at a time, so
         #: a batch dispatched while the previous one is still running queues
         #: on the device (this is what makes a saturated hot shard *visible*
@@ -665,6 +749,7 @@ class ShardedIndex(GpuIndex):
         # Batch results become cacheable only at the batch's simulated
         # completion time; until then they are parked here.
         self._pending_fills = []
+        self._next_fill_ms = float("inf")
         self._answer_sink = (
             (np.full(len(stream), -1, dtype=np.int64), np.zeros(len(stream), dtype=np.int64))
             if record_answers
@@ -690,19 +775,45 @@ class ShardedIndex(GpuIndex):
         window_keys: list = []
         next_reshard_ms = reshard_policy.interval_ms if resharding else float("inf")
 
+        # Per-request records are buffered and handed to the registry in
+        # bulk (see ``flush``); counters of host-side outcomes stay local ints.
+        log = self._request_log = _RequestLog(tenants=tenant_ids is not None)
+        client_ids = stream.client_ids
+        cache = self.cache
+        cache_latency = self.config.cache_latency_ms
+        sampling = bool(telemetry.sample_interval_ms)
+        cache_hits = cache_negative_hits = cache_misses = negative_key_misses = 0
+
+        def flush() -> None:
+            nonlocal cache_hits, cache_negative_hits, cache_misses, negative_key_misses
+            log.flush(metrics, client_ids)
+            for event, count in (
+                ("cache_hits", cache_hits),
+                ("cache_negative_hits", cache_negative_hits),
+                ("cache_misses", cache_misses),
+                ("negative_key_misses", negative_key_misses),
+            ):
+                if count:
+                    metrics.bump(event, count)
+            cache_hits = cache_negative_hits = cache_misses = negative_key_misses = 0
+
         last_arrival = 0.0
-        for request_id, arrival_ms, key in stream:
+        for request_id, arrival_ms, key in _stream_requests(stream, raw_keys):
             last_arrival = arrival_ms
-            if telemetry.sample_interval_ms:
-                telemetry.maybe_sample(arrival_ms)
+            if len(log.request_ids) >= _CHUNK_REQUESTS:
+                flush()
+            if sampling and telemetry.sample_due(arrival_ms):
+                flush()
+                telemetry.sample(arrival_ms)
             self._poll_failures(arrival_ms)
             # Dispatch batches whose wait deadline has passed — even when this
             # request itself will be answered from cache — then make their
             # completed results visible before probing the cache.
-            self._execute_batches(
-                scheduler.poll(arrival_ms), metrics, client_ids=stream.client_ids
-            )
-            self._commit_pending_fills(arrival_ms)
+            due = scheduler.poll(arrival_ms)
+            if due:
+                self._execute_batches(due, metrics)
+            if arrival_ms >= self._next_fill_ms:
+                self._commit_pending_fills(arrival_ms)
             tenant = (
                 int(tenant_ids[request_id]) if tenant_ids is not None else UNLABELED_TENANT
             )
@@ -738,34 +849,31 @@ class ShardedIndex(GpuIndex):
                 # Signed keys below the unsigned keyspace are definitional
                 # misses, answered host-side at cache latency; they never
                 # enter a batch (batch keys are unsigned).
-                completion = arrival_ms + self.config.cache_latency_ms
-                metrics.record_request(
-                    self.config.cache_latency_ms, arrival_ms, completion
+                log.append(
+                    cache_latency, arrival_ms, arrival_ms + cache_latency, request_id, tenant
                 )
-                metrics.record_client(int(stream.client_ids[request_id]))
-                if tenant != UNLABELED_TENANT:
-                    metrics.record_tenant_request(tenant, self.config.cache_latency_ms)
-                metrics.bump("negative_key_misses")
+                negative_key_misses += 1
                 continue
-            if self.cache is not None:
-                entry = self.cache.get(key, tenant=tenant if tenant >= 0 else None)
+            if cache is not None:
+                entry = cache.get(key, tenant=tenant if tenant >= 0 else None)
                 if entry is not None:
-                    completion = arrival_ms + self.config.cache_latency_ms
-                    metrics.record_request(self.config.cache_latency_ms, arrival_ms, completion)
-                    metrics.record_client(int(stream.client_ids[request_id]))
-                    if tenant != UNLABELED_TENANT:
-                        metrics.record_tenant_request(
-                            tenant, self.config.cache_latency_ms
-                        )
-                    metrics.bump(
-                        "cache_hits" if entry.match_count > 0 else "cache_negative_hits"
+                    log.append(
+                        cache_latency,
+                        arrival_ms,
+                        arrival_ms + cache_latency,
+                        request_id,
+                        tenant,
                     )
+                    if entry.match_count > 0:
+                        cache_hits += 1
+                    else:
+                        cache_negative_hits += 1
                     if tracer.enabled:
                         trace_id = tracer.new_trace_id()
                         root = tracer.emit(
                             "request",
                             arrival_ms,
-                            self.config.cache_latency_ms,
+                            cache_latency,
                             "request",
                             "requests",
                             trace_id,
@@ -775,7 +883,7 @@ class ShardedIndex(GpuIndex):
                         tracer.emit(
                             "cache.probe",
                             arrival_ms,
-                            self.config.cache_latency_ms,
+                            cache_latency,
                             "cache",
                             "cache",
                             trace_id,
@@ -786,7 +894,7 @@ class ShardedIndex(GpuIndex):
                         self._answer_sink[0][request_id] = entry.row_agg
                         self._answer_sink[1][request_id] = entry.match_count
                     continue
-                metrics.bump("cache_misses")
+                cache_misses += 1
                 if tracer.enabled:
                     # The miss probe joins the request's trace; the root span
                     # is recorded when the batch carrying it completes.
@@ -805,7 +913,8 @@ class ShardedIndex(GpuIndex):
             due = scheduler.offer(
                 int(shard_of[request_id]), request_id, key, arrival_ms, tenant_id=tenant
             )
-            self._execute_batches(due, metrics, client_ids=stream.client_ids)
+            if due:
+                self._execute_batches(due, metrics)
             if resharding:
                 window_shards.append(int(shard_of[request_id]))
                 window_keys.append(key)
@@ -825,11 +934,11 @@ class ShardedIndex(GpuIndex):
 
         self._poll_failures(last_arrival + policy.max_wait_ms)
         self._execute_batches(
-            scheduler.drain(last_arrival + policy.max_wait_ms),
-            metrics,
-            client_ids=stream.client_ids,
+            scheduler.drain(last_arrival + policy.max_wait_ms), metrics
         )
         self._commit_pending_fills(float("inf"))
+        flush()
+        self._request_log = None
         if self.cache is not None:
             self.cache.publish_telemetry(telemetry)
         if telemetry.sample_interval_ms:
@@ -872,9 +981,7 @@ class ShardedIndex(GpuIndex):
         lifecycle's version guard folds in any concurrent writes — no request
         is ever lost or misrouted (zero-downtime by construction).
         """
-        self._execute_batches(
-            scheduler.drain(now_ms), metrics, client_ids=stream.client_ids
-        )
+        self._execute_batches(scheduler.drain(now_ms), metrics)
         self._commit_pending_fills(now_ms)
         ops = self.maintenance.run_reshard(
             now_ms,
@@ -905,9 +1012,13 @@ class ShardedIndex(GpuIndex):
             else:
                 remaining.append((completion_ms, fill_keys, row_agg, counts, fill_tenants))
         self._pending_fills = remaining
+        self._next_fill_ms = min((fill[0] for fill in remaining), default=float("inf"))
 
-    def _execute_batches(self, batches, metrics: MetricsRegistry, client_ids=None) -> None:
+    def _execute_batches(self, batches, metrics: MetricsRegistry) -> None:
+        """Run dispatched batches on their shards; their riders' records go
+        to the stream's request log."""
         tracer = self.tracer
+        log = self._request_log
         rel = self.reliability
         deadline_cfg = rel.config.deadline_ms if rel is not None else 0.0
         for batch in batches:
@@ -994,38 +1105,44 @@ class ShardedIndex(GpuIndex):
             )
             device_ms = exec_ms - overhead_ms
             tenant_labels = batch.tenant_ids
-            for position in range(batch.size):
-                arrival = float(batch.arrival_ms[position])
-                latency = completion_ms - arrival
-                finish = completion_ms
-                if deadline_cfg > 0 and latency > deadline_cfg:
-                    # The client gave up at its deadline: its observed
-                    # latency is the deadline, deterministically, and the
-                    # late answer is masked out of the oracle check.
-                    latency = deadline_cfg
-                    finish = arrival + deadline_cfg
-                    metrics.bump("deadline_exceeded")
+            arrivals = batch.arrival_ms
+            latencies = completion_ms - arrivals
+            finishes = [completion_ms] * batch.size
+            if deadline_cfg > 0:
+                late = latencies > deadline_cfg
+                if late.any():
+                    # A client gave up at its deadline: its observed latency
+                    # is the deadline, deterministically, and the late
+                    # answer is masked out of the oracle check.
+                    latencies[late] = deadline_cfg
+                    finishes = np.where(
+                        late, arrivals + deadline_cfg, completion_ms
+                    ).tolist()
+                    metrics.bump("deadline_exceeded", int(late.sum()))
                     if self._deadline_sink is not None:
-                        self._deadline_sink[batch.request_ids[position]] = True
-                metrics.record_request(latency, arrival, finish)
-                if tenant_labels is not None:
-                    tenant = int(tenant_labels[position])
-                    if tenant != UNLABELED_TENANT:
-                        metrics.record_tenant_request(tenant, latency)
-                if client_ids is not None:
-                    metrics.record_client(int(client_ids[batch.request_ids[position]]))
+                        self._deadline_sink[batch.request_ids[late]] = True
+            log.extend(
+                latencies.tolist(),
+                arrivals.tolist(),
+                finishes,
+                batch.request_ids.tolist(),
+                tenant_labels.tolist() if tenant_labels is not None else None,
+            )
             if tracer.enabled:
                 self._trace_batch_requests(
                     tracer, batch, exec_start, completion_ms, device_ms, overhead_ms
                 )
-            metrics.record_shard_batch(batch.shard_id, batch.size, exec_ms)
-            metrics.bump(f"batches_{batch.reason}")
+            metrics.record_shard_batch(
+                batch.shard_id, batch.size, exec_ms, reason=batch.reason
+            )
             if self.cache is not None and not (unavailable or stale):
                 # Unavailable (miss-shaped) and stale answers never enter the
                 # result cache: they would poison later fresh reads.
                 self._pending_fills.append(
                     (completion_ms, batch_keys, row_agg, counts, tenant_labels)
                 )
+                if completion_ms < self._next_fill_ms:
+                    self._next_fill_ms = completion_ms
 
     def _stale_lookup(self, shard_id: int, keys: np.ndarray):
         """Answer a batch from the shard's last durable state (checkpoint +
