@@ -46,9 +46,6 @@ setup(
     install_requires=["numpy"],
     extras_require={
         "test": ["pytest"],
-        # Optional JIT backend for the compiled hot-path tier; without it the
-        # tier falls back to the system C compiler, then to the vector engine.
-        "compiled": ["numba"],
     },
     entry_points={
         "console_scripts": [

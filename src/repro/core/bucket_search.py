@@ -136,3 +136,17 @@ class BucketSearchModel:
         bytes_read = touched * self.entry_bytes
         compute_ops = touched
         return BucketSearchCost(bytes_read=bytes_read, compute_ops=compute_ops)
+
+    def range_scan_total(self, entries_scanned) -> BucketSearchCost:
+        """Summed :meth:`range_scan` work of a whole range batch.
+
+        ``entries_scanned`` holds one count per range; ranges that scanned
+        nothing (``<= 0``, unlocated lower bounds) cost nothing.
+        Integer-exact with summing :meth:`range_scan` over the positive
+        entries.
+        """
+        scanned = np.asarray(entries_scanned, dtype=np.int64)
+        scanned = scanned[scanned > 0]
+        group = self.group_size
+        touched = int(((scanned + group - 1) // group).sum()) * group
+        return BucketSearchCost(bytes_read=touched * self.entry_bytes, compute_ops=touched)

@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.rtx.compiled import Arena, available_backend, backend_kernels
+from repro.rtx.compiled import Arena, backend_kernels
 
 
 class CompiledChainTables:
@@ -53,23 +53,22 @@ def chain_walk_batch(
     ``CgRXuIndex._collect_batch`` would, or ``None`` when no compiled backend
     is available (caller falls back to the vector walk).
     """
-    if available_backend() is None:
+    kernels = backend_kernels()
+    if kernels is None:
         return None
-    chain_kernel = backend_kernels()[1]
+    chain_kernel = kernels[1]
 
     num_keys = int(keys.shape[0])
     key_is_64 = keys.dtype.itemsize == 8
     target64 = np.ascontiguousarray(keys.astype(np.uint64))
     start_pos = np.ascontiguousarray(tables.starts[buckets], dtype=np.int64)
 
+    # The slabs are contiguous by construction; the kernel indexes them raw.
     keys_matrix = storage.keys_matrix
     row_ids = storage.row_ids_matrix
     sizes = storage.sizes_array
     max_keys = storage.max_keys_array
     next_node = storage.next_array
-    # The slabs are contiguous by construction; the kernels index them raw.
-    keys64 = keys_matrix if key_is_64 else np.empty((0, 0), dtype=np.uint64)
-    keys32 = keys_matrix if not key_is_64 else np.empty((0, 0), dtype=np.uint32)
 
     row_sum = np.zeros(num_keys, dtype=np.int64)
     matches = np.zeros(num_keys, dtype=np.int64)
@@ -83,8 +82,7 @@ def chain_walk_batch(
         tables.order,
         int(storage.node_capacity),
         key_is_64,
-        keys64,
-        keys32,
+        keys_matrix,
         row_ids,
         sizes,
         max_keys,

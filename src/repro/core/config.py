@@ -40,9 +40,9 @@ class BucketLayout(str, Enum):
 #: Valid batch execution engines.  ``"vector"`` (the default) answers whole
 #: batches with structure-of-arrays numpy kernels and wavefront BVH traversal;
 #: ``"scalar"`` keeps the original one-key/one-ray-at-a-time reference paths;
-#: ``"compiled"`` routes the hot axis-ray traversal and point-lookup chain
-#: walks through fused compiled kernels (numba via the ``[compiled]`` extra,
-#: or a runtime-compiled C backend) over quantized cache-blocked node tables.
+#: ``"compiled"`` locates a whole batch's buckets in one fused C kernel call
+#: and runs the cgRXu point-lookup chain walk in C (kernels built at first use
+#: with the system C compiler) over quantized cache-blocked node tables.
 #: All engines produce byte-identical results and identical instrumentation
 #: counters; when no compiled backend is available, ``"compiled"`` degrades
 #: to ``"vector"`` with a recorded telemetry gauge.
@@ -59,7 +59,7 @@ def validate_engine(engine: str) -> str:
 def resolve_engine(engine: str) -> str:
     """Map a configured engine to the one that will actually execute.
 
-    ``"compiled"`` requires a kernel backend (numba or a C compiler); when
+    ``"compiled"`` requires a kernel backend (a system C compiler); when
     none is available the call degrades to ``"vector"`` — same results, same
     counters — and records a ``compiled_engine_fallback`` telemetry gauge so
     the degradation is observable instead of silent.

@@ -107,6 +107,11 @@ class CgRXIndex(GpuIndex):
 
         num_triangles = self.representation.triangle_count()
         bvh_bytes = self.pipeline.bvh.memory_footprint_bytes()
+        # The cost model's two working sets (rays: BVH + vertex buffer;
+        # bucket searches: the key-rowID array) only change on a rebuild.
+        footprint = self.memory_footprint()
+        self._ray_working_set = footprint.get("bvh") + footprint.get("vertex_buffer")
+        self._data_working_set = footprint.get("key_rowid_array")
         self.build_stats = [
             self.bucketed.sort_stats,
             triangle_generation_stats(self.bucketed.num_buckets, num_triangles),
@@ -122,10 +127,9 @@ class CgRXIndex(GpuIndex):
 
         Returns the bucketID per key (:data:`MISS` for out-of-range keys), the
         aggregated ray statistics and a sample of per-lookup work used for the
-        divergence estimate.  The vector engine answers the batch with
-        wavefront launches; the compiled engine swaps the wavefront traversal
-        for the fused megakernel.  Counters and samples are identical across
-        all three.
+        divergence estimate.  The vector engine answers the batch with one
+        wavefront launch per ray stage; the compiled engine with one fused
+        kernel call.  Counters and samples are identical across all three.
         """
         stats = RayStats()
         sample_every = max(1, keys.shape[0] // _DIVERGENCE_SAMPLE)
@@ -194,25 +198,7 @@ class CgRXIndex(GpuIndex):
             raise ValueError("lows and highs must have the same shape")
 
         bucket_ids, ray_stats, work_sample = self._locate_buckets(lows)
-        sorted_keys = self.bucketed.keys
-        first = np.searchsorted(sorted_keys, lows, side="left")
-        stop = np.searchsorted(sorted_keys, highs, side="right")
-        starts = np.where(bucket_ids >= 0, bucket_ids * self.bucketed.bucket_size, 0)
-
-        row_ids: List[np.ndarray] = []
-        entries_scanned = np.zeros(lows.shape[0], dtype=np.int64)
-        for position in range(lows.shape[0]):
-            if bucket_ids[position] < 0:
-                row_ids.append(np.empty(0, dtype=self.bucketed.row_ids.dtype))
-                continue
-            begin = max(int(first[position]), int(starts[position]))
-            end = int(stop[position])
-            if end <= begin:
-                row_ids.append(np.empty(0, dtype=self.bucketed.row_ids.dtype))
-            else:
-                row_ids.append(self.bucketed.row_ids[begin:end].copy())
-            entries_scanned[position] = max(1, end - int(starts[position]) + 1)
-
+        row_ids, entries_scanned = self._scan_ranges(bucket_ids, lows, highs)
         stats = self._lookup_stats(
             name="cgrx.range_lookup",
             keys=lows,
@@ -222,6 +208,25 @@ class CgRXIndex(GpuIndex):
             range_mode=True,
         )
         return RangeLookupResult(row_ids=row_ids, stats=stats)
+
+    def _scan_ranges(
+        self, bucket_ids: np.ndarray, lows: np.ndarray, highs: np.ndarray
+    ) -> Tuple[List[np.ndarray], np.ndarray]:
+        """The range post-filter: per range, the rowIDs from the located
+        bucket's first key ``>= low`` up to the last key ``<= high``, and the
+        entries the forward scan touches (0 for unlocated lower bounds)."""
+        sorted_keys = self.bucketed.keys
+        first = np.searchsorted(sorted_keys, lows, side="left")
+        stop = np.searchsorted(sorted_keys, highs, side="right")
+        located = bucket_ids >= 0
+        starts = np.where(located, bucket_ids * self.bucketed.bucket_size, 0)
+        # Unlocated ranges slice nothing (begin == end == 0).
+        begin = np.where(located, np.maximum(first, starts), 0)
+        end = np.where(located, stop, 0)
+        entries_scanned = np.where(located, np.maximum(stop - starts + 1, 1), 0)
+        rows = self.bucketed.row_ids
+        row_ids = [rows[b:e].copy() for b, e in zip(begin.tolist(), end.tolist())]
+        return row_ids, entries_scanned
 
     def _lookup_stats(
         self,
@@ -250,22 +255,13 @@ class CgRXIndex(GpuIndex):
 
         # Bucket-search stage: a cooperative-group kernel per batch.
         if range_mode:
-            search_bytes = 0
-            search_ops = 0
-            for scanned in entries_scanned:
-                if scanned <= 0:
-                    continue
-                cost = self.search_model.range_scan(int(scanned))
-                search_bytes += cost.bytes_read
-                search_ops += cost.compute_ops
+            cost = self.search_model.range_scan_total(entries_scanned)
         else:
             cost = self.search_model.point_search_total(
                 self.bucketed.bucket_size, entries_scanned
             )
-            search_bytes = cost.bytes_read
-            search_ops = cost.compute_ops
-        stats.bytes_read += search_bytes
-        stats.compute_ops += search_ops
+        stats.bytes_read += cost.bytes_read
+        stats.compute_ops += cost.compute_ops
 
         # Each lookup reads its key and writes an aggregated result.
         stats.bytes_read += num_lookups * self.config.key_bytes
@@ -276,11 +272,8 @@ class CgRXIndex(GpuIndex):
         # structure serves the rays, the (large) key-rowID array serves the
         # bucket searches.  Weight the two hit rates by their traffic.
         unique = self._unique_fraction(keys)
-        footprint = self.memory_footprint()
-        ray_hit = self.cost_model.cache_hit_fraction(
-            footprint.get("bvh") + footprint.get("vertex_buffer"), unique
-        )
-        data_hit = self.cost_model.cache_hit_fraction(footprint.get("key_rowid_array"), unique)
+        ray_hit = self.cost_model.cache_hit_fraction(self._ray_working_set, unique)
+        data_hit = self.cost_model.cache_hit_fraction(self._data_working_set, unique)
         data_bytes = max(1, stats.total_bytes - ray_bytes)
         stats.cache_hit_fraction = (ray_hit * ray_bytes + data_hit * data_bytes) / (
             ray_bytes + data_bytes

@@ -143,13 +143,22 @@ class NaiveRepresentation(SceneRepresentation):
 
     # ---------------------------------------------------------- batched lookups
 
-    def locate_bucket_batch(self, keys: np.ndarray, stats=None):
-        """Wavefront version of Algorithm 2: stage-synchronous batched rays.
+    def _locate_lanes(self):
+        # Discovery rays run along the explicit marker lanes; no flips, and
+        # primitive indices already are bucket ids.
+        return MARKER_X, MARKER_Y, False, False
 
-        Fires exactly the rays :meth:`locate_bucket` would fire per key, one
-        wavefront launch per stage.  Returns ``(bucket_ids, nodes_visited)``;
-        ``stats`` accumulates identical ray totals.
+    def locate_bucket_batch(self, keys: np.ndarray, stats=None):
+        """Batched Algorithm 2: one compiled call, or stage-synchronous rays.
+
+        Fires exactly the rays :meth:`locate_bucket` would fire per key —
+        through the fused compiled kernel under ``engine="compiled"``, else as
+        one wavefront launch per stage.  Returns ``(bucket_ids,
+        nodes_visited)``; ``stats`` accumulates identical ray totals.
         """
+        located = self._locate_compiled(keys, stats)
+        if located is not None:
+            return located
         keys = np.asarray(keys)
         num_keys = int(keys.shape[0])
         out = np.full(num_keys, MISS, dtype=np.int64)

@@ -203,15 +203,24 @@ class OptimizedRepresentation(SceneRepresentation):
             np.where(row, primitive_index - self.row_marker_offset + 1, primitive_index),
         )
 
-    def locate_bucket_batch(self, keys: np.ndarray, stats=None):
-        """Wavefront point routing: all keys advance stage by stage.
+    def _locate_lanes(self):
+        # Discovery rays run along the x = xmax column (and y = ymax row);
+        # flipped row terminators answer directly, marker slots remap.
+        return float(self.mapping.x_max), float(self.mapping.y_max), True, True
 
-        Every key fires exactly the rays :meth:`locate_bucket` would fire, as
+    def locate_bucket_batch(self, keys: np.ndarray, stats=None):
+        """Batched point routing: one compiled call, or stage-synchronous rays.
+
+        Every key fires exactly the rays :meth:`locate_bucket` would fire —
+        through the fused compiled kernel under ``engine="compiled"``, else as
         per-stage wavefront launches (all stage rays share an axis).  Returns
         ``(bucket_ids, nodes_visited)`` with :data:`MISS` for out-of-range
         keys and the per-key BVH node visits used for divergence sampling;
         ``stats`` accumulates the identical ray totals.
         """
+        located = self._locate_compiled(keys, stats)
+        if located is not None:
+            return located
         keys = np.asarray(keys)
         num_keys = int(keys.shape[0])
         out = np.full(num_keys, MISS, dtype=np.int64)

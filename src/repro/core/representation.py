@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Optional, Tuple
+
+import numpy as np
 
 from repro.core.bucketing import BucketedKeys
 from repro.core.casting import SceneCaster
@@ -46,6 +48,7 @@ class SceneRepresentation(ABC):
         self._build_scene()
         self.pipeline.build_acceleration_structure()
         self.caster = SceneCaster(pipeline, mapping)
+        self._locate_params = None
 
     # ------------------------------------------------------------------ hooks
 
@@ -64,12 +67,11 @@ class SceneRepresentation(ABC):
     def locate_bucket_batch(self, keys, stats: Optional[RayStats] = None):
         """Batched :meth:`locate_bucket`: ``(bucket_ids, nodes_visited)`` arrays.
 
-        Subclasses override this with wavefront launches; the fallback loops
-        the scalar procedure, so results and counters are identical by
+        Subclasses override this with one fused compiled call
+        (:meth:`_locate_compiled`) or staged wavefront launches; the fallback
+        loops the scalar procedure, so results and counters are identical by
         construction either way.
         """
-        import numpy as np
-
         keys = np.asarray(keys)
         bucket_ids = np.empty(keys.shape[0], dtype=np.int64)
         nodes = np.zeros(keys.shape[0], dtype=np.int64)
@@ -80,6 +82,50 @@ class SceneRepresentation(ABC):
             if stats is not None:
                 stats.merge(local)
         return bucket_ids, nodes
+
+    def _locate_compiled(self, keys, stats: Optional[RayStats]):
+        """Compiled-engine :meth:`locate_bucket_batch`: one kernel call per batch.
+
+        Returns ``None`` unless the pipeline's batch engine is ``"compiled"``
+        and the compiled tier can serve the scene; the caller then stages the
+        rays on the vector engine.  Results and counters are identical.
+        """
+        if self.pipeline.batch_engine != "compiled":
+            return None
+        if self._locate_params is None:
+            from repro.rtx.compiled import LocateParams
+
+            mapping = self.mapping
+            column_x, plane_lane_y, flips, remap = self._locate_lanes()
+            self._locate_params = LocateParams(
+                min_rep=int(self.min_representative),
+                max_rep=int(self.max_representative),
+                x_bits=mapping.x_bits,
+                y_bits=mapping.y_bits,
+                z_bits=mapping.z_bits,
+                multi_line=self.multi_line,
+                multi_plane=self.multi_plane,
+                flips=flips,
+                remap=remap,
+                y_scale=mapping.y_scale,
+                z_scale=mapping.z_scale,
+                column_x=column_x,
+                plane_lane_y=plane_lane_y,
+                row_marker_offset=self.row_marker_offset,
+                plane_marker_offset=self.plane_marker_offset,
+            )
+        return self.pipeline.locate_buckets_batch(
+            self._locate_params, np.asarray(keys), stats
+        )
+
+    @abstractmethod
+    def _locate_lanes(self) -> Tuple[float, float, bool, bool]:
+        """``(column_x, plane_lane_y, flips, remap)`` of the compiled locate.
+
+        The grid column of the y/z discovery rays, the grid row of the z
+        discovery ray, whether a back-face row hit answers directly, and
+        whether marker slots remap to the following bucket.
+        """
 
     # ------------------------------------------------------------ maintenance
 

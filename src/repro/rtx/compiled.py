@@ -1,13 +1,24 @@
-"""Compiled hot-path tier: fused traversal megakernel over quantized tables.
+"""Compiled hot-path tier: fused bucket location over quantized tables.
 
 The vector engine (:mod:`repro.rtx.wavefront`) advances every ray of a batch
 in lockstep, paying ~25 numpy dispatches per BVH level plus float64-promoted
-copies of every node table.  This module removes both costs for the
-axis-aligned closest-hit path — the one the indexes fire millions of times:
+copies of every node table, and the scene representations stage cgRX's ray
+sequence (paper §III-B) as one wavefront launch per ray *stage*.  This module
+removes both costs for point routing — the path the indexes run for every
+lookup — the way the GPU does it: one thread per key runs its key's whole
+ray sequence inside one kernel.
 
-* **Megakernel.**  One compiled loop per ray runs traversal-pop, slab test,
-  leaf intersection and stack-push back to back (no per-step numpy dispatch,
-  no masked re-gathers).
+* **One call per lookup batch.**  :func:`locate_buckets` runs, for every key,
+  the key→grid bit split, the same up-to-five axis rays ``locate_bucket``
+  fires (row ray, next-row and next-plane discovery rays, leftmost-
+  representative rays), the back-face early exit and the marker remap, and
+  returns bucket ids, per-key node visits and per-stage ray totals.  It is
+  parametrised by representation (:class:`LocateParams`), so the naive and
+  the optimized scene share it.
+* **Megakernel.**  Each ray is one compiled loop running traversal-pop, slab
+  test, leaf intersection and stack-push back to back (no per-step numpy
+  dispatch, no masked re-gathers).  The ray loop is written once, as a
+  ``static inline`` helper the driver calls per stage.
 * **Quantized cache-blocked node tables.**  Per node, a 12-byte record of
   uint16 AABB bounds quantized against a per-tree frame, rounded *outward* so
   a quantized reject implies the exact reject.  The kernel tests the 12-byte
@@ -16,37 +27,31 @@ axis-aligned closest-hit path — the one the indexes fire millions of times:
   cheap test passes — traversal may *consider* a superset of nodes at the
   prefilter but visits, counters and hit results stay bit-identical to the
   scalar path.
-* **Shard-local arenas.**  All tables live in one reusable byte buffer that
-  is rebuilt in place across build/refit epochs instead of reallocated.
+* **Shard-local arenas.**  All node tables live in one reusable byte buffer
+  that is rebuilt in place across build/refit epochs instead of reallocated.
 
-Three interchangeable backends provide the kernels, resolved lazily:
-
-``numba``
-    ``@njit`` versions of the reference kernels (installed via the
-    ``[compiled]`` extra).
-``cc``
-    The same kernels as C, compiled at first use with the system C compiler
-    into a cached shared library and bound through :mod:`ctypes`.  No Python
-    dependency beyond the standard library.
-``python``
-    The un-jitted reference kernels (selectable only through
-    ``REPRO_COMPILED_BACKEND`` — slow, used to test kernel logic).
-
-When no backend is available, callers degrade to the vector engine and a
-telemetry gauge records the fallback (see
+The kernels are C, compiled at first use with the system C compiler into a
+cached shared library and bound through :mod:`ctypes`; no Python dependency
+beyond the standard library.  ``REPRO_COMPILED_BACKEND=none`` disables the
+tier (``cc`` pins it).  When no C compiler is available, callers degrade to
+the vector engine and a telemetry gauge records the fallback (see
 :func:`repro.core.config.resolve_engine`).
 
 Bit-parity contract
 -------------------
 
-The megakernel follows the scalar ``_trace_axis`` stack discipline exactly
-(root first, far child pushed before near, visit counted at pop *before* any
-test), performs every accepted comparison in IEEE double precision with the
-same operand expressions, and applies the same first-minimum tie-break.  Hit
-records, per-ray node-visit counts and :class:`~repro.rtx.traversal.RayStats`
-totals are therefore identical to the scalar oracle — pinned by the test
-suite together with a conservativeness property test for the quantized
-bounds.
+Every ray follows the scalar ``_trace_axis`` stack discipline exactly (root
+first, far child pushed before near, visit counted at pop *before* any test),
+performs every accepted comparison in IEEE double precision with the same
+operand expressions, and applies the same first-minimum tie-break.  Ray
+origins use the same double expressions as
+:class:`~repro.core.casting.SceneCaster`, hit rows and planes the same
+round-half-even snap of the float32 hit point.  Bucket ids, per-key node
+visits, :class:`~repro.rtx.traversal.RayStats` totals and the per-stage
+``rtx_wavefront_*{kernel="compiled_axis_closest"}`` profiler series are
+therefore identical to the scalar oracle and to the staged vector engine —
+pinned by the test suite together with a conservativeness property test for
+the quantized bounds.
 """
 
 from __future__ import annotations
@@ -63,7 +68,6 @@ import numpy as np
 
 from repro.obs import profile as _profile
 from repro.rtx.bvh import Bvh
-from repro.rtx.wavefront import AxisClosestBatch, SoaBvh, _PERP_AXES
 
 #: Fixed traversal stack capacity of the compiled kernels.  Trees deeper than
 #: this fall back to the vector engine (never hit in practice: the stack need
@@ -74,12 +78,18 @@ MAX_STACK = 512
 #: the outward fixup never runs out of headroom at the top of the range.
 _QUANT_STEPS = 65534
 
+#: Ray stages of the fused locate kernel, in the order the staged engines
+#: launch them: the key's own row, the next-row discovery ray and its
+#: leftmost-representative ray, then the next-plane ray, that plane's first
+#: row and its leftmost representative.
+LOCATE_STAGES = 6
+
 # --------------------------------------------------------------------------
 # Backend resolution
 # --------------------------------------------------------------------------
 
-#: Resolved backend name (``"numba"`` / ``"cc"`` / ``"python"``) or ``None``
-#: when the compiled tier is unavailable.  ``"unresolved"`` until first probe.
+#: Resolved backend name (``"cc"``) or ``None`` when the compiled tier is
+#: unavailable.  ``"unresolved"`` until first probe.
 _BACKEND: Optional[str] = "unresolved"
 _KERNELS: Optional[Tuple] = None
 
@@ -98,31 +108,24 @@ def reset_backend_cache() -> None:
 def available_backend() -> Optional[str]:
     """The active kernel backend, resolving (and caching) it on first call.
 
-    Honours ``REPRO_COMPILED_BACKEND`` (``numba`` / ``cc`` / ``python`` /
-    ``none``); otherwise prefers numba, then the system C compiler.
+    ``REPRO_COMPILED_BACKEND=none`` disables the compiled tier; otherwise the
+    C kernels are built with the system compiler (``"cc"``).
     """
     global _BACKEND, _KERNELS
     if _BACKEND != "unresolved":
         return _BACKEND
-
-    forced = os.environ.get("REPRO_COMPILED_BACKEND", "").strip().lower()
-    if forced == "none":
-        _BACKEND = None
-        return None
-    candidates = [forced] if forced in ("numba", "cc", "python") else ["numba", "cc"]
-
-    for name in candidates:
-        kernels = _load_backend(name)
-        if kernels is not None:
-            _BACKEND = name
-            _KERNELS = kernels
-            return name
     _BACKEND = None
-    return None
+    if os.environ.get("REPRO_COMPILED_BACKEND", "").strip().lower() == "none":
+        return None
+    library = _load_cc_library()
+    if library is not None:
+        _BACKEND = "cc"
+        _KERNELS = (_bind_locate(library), _make_cc_chain(library))
+    return _BACKEND
 
 
 def backend_kernels() -> Optional[Tuple]:
-    """``(axis_kernel, chain_kernel)`` for the active backend, or ``None``."""
+    """``(locate_kernel, chain_kernel)`` of the active backend, or ``None``."""
     if available_backend() is None:
         return None
     return _KERNELS
@@ -137,212 +140,8 @@ def record_fallback(reason: str) -> None:
         prof.observe_compiled_fallback(reason)
 
 
-def _load_backend(name: str) -> Optional[Tuple]:
-    if name == "python":
-        return (_axis_kernel_py, _chain_kernel_py)
-    if name == "numba":
-        try:
-            import numba
-        except ImportError:
-            return None
-        # Serial by design: rays are independent, so ``parallel=True`` would
-        # also be deterministic, but serial keeps the first-call compile cheap
-        # and the profiling counters trivially comparable.
-        jit = numba.njit(cache=False, fastmath=False)
-        return (jit(_axis_kernel_py), jit(_chain_kernel_py))
-    if name == "cc":
-        library = _load_cc_library()
-        if library is None:
-            return None
-        return (_make_cc_axis(library), _make_cc_chain(library))
-    return None
-
-
 # --------------------------------------------------------------------------
-# Reference kernels (numba source + pure-Python backend)
-# --------------------------------------------------------------------------
-
-
-def _axis_kernel_py(
-    axis,
-    perp_a,
-    perp_b,
-    origin_axis,
-    coord_a,
-    coord_b,
-    best_t,
-    tolerance,
-    qbounds,
-    frame_min,
-    frame_scale,
-    node_min,
-    node_max,
-    node_left,
-    node_right,
-    node_first,
-    node_count,
-    order,
-    centroids,
-    hit,
-    best_tri,
-    nodes_visited,
-    tri_tests,
-):
-    """Fused axis-aligned closest-hit traversal (reference implementation).
-
-    Mirrors ``TraversalEngine._trace_axis`` statement for statement; the
-    quantized prefilter in front of each exact test only rejects nodes the
-    exact test would reject (bounds are dequantized outward), so counters and
-    results are unchanged.
-    """
-    num_rays = origin_axis.shape[0]
-    fa = frame_min[perp_a]
-    sa = frame_scale[perp_a]
-    fb = frame_min[perp_b]
-    sb = frame_scale[perp_b]
-    fx = frame_min[axis]
-    sx = frame_scale[axis]
-    stack = np.empty(MAX_STACK, dtype=np.int32)
-    for r in range(num_rays):
-        o = origin_axis[r]
-        ca = coord_a[r]
-        cb = coord_b[r]
-        bt = best_t[r]
-        pointer = 0
-        stack[pointer] = 0
-        pointer += 1
-        visits = np.int64(0)
-        tests = np.int64(0)
-        tri_best = np.int64(0)
-        has = False
-        while pointer > 0:
-            pointer -= 1
-            n = stack[pointer]
-            visits += 1
-            q = qbounds[n]
-            if ca < fa + q[perp_a] * sa - tolerance or ca > fa + q[3 + perp_a] * sa + tolerance:
-                continue
-            if cb < fb + q[perp_b] * sb - tolerance or cb > fb + q[3 + perp_b] * sb + tolerance:
-                continue
-            if fx + q[3 + axis] * sx < o or fx + q[axis] * sx > o + bt:
-                continue
-            mn = node_min[n]
-            mx = node_max[n]
-            if ca < mn[perp_a] - tolerance or ca > mx[perp_a] + tolerance:
-                continue
-            if cb < mn[perp_b] - tolerance or cb > mx[perp_b] + tolerance:
-                continue
-            if mx[axis] < o or mn[axis] > o + bt:
-                continue
-            count = node_count[n]
-            if count > 0:
-                first = node_first[n]
-                tests += count
-                for slot in range(first, first + count):
-                    tri = order[slot]
-                    centre = centroids[tri]
-                    if abs(centre[perp_a] - ca) > tolerance:
-                        continue
-                    if abs(centre[perp_b] - cb) > tolerance:
-                        continue
-                    t = centre[axis] - o
-                    if t < 0.0 or t > bt:
-                        continue
-                    if not has or t < bt:
-                        has = True
-                        bt = t
-                        tri_best = np.int64(tri)
-            else:
-                left = node_left[n]
-                right = node_right[n]
-                if node_min[left, axis] <= node_min[right, axis]:
-                    stack[pointer] = right
-                    stack[pointer + 1] = left
-                else:
-                    stack[pointer] = left
-                    stack[pointer + 1] = right
-                pointer += 2
-        hit[r] = 1 if has else 0
-        best_t[r] = bt
-        best_tri[r] = tri_best
-        nodes_visited[r] = visits
-        tri_tests[r] = tests
-
-
-def _chain_kernel_py(
-    target64,
-    start_pos,
-    order_len,
-    order,
-    capacity,
-    key_is_64,
-    keys64,
-    keys32,
-    row_ids,
-    sizes,
-    max_keys,
-    next_node,
-    row_sum,
-    matches,
-    nodes_visited,
-    entries,
-):
-    """Fused node-chain point-lookup walk (reference implementation).
-
-    Mirrors ``CgRXuIndex._collect`` over the flattened ``(order, starts)``
-    tables: the cross-bucket continuation is the same ``position += 1`` step.
-    ``keys64`` / ``keys32`` alias the same node-key slab; ``key_is_64``
-    selects which typed view the comparisons use.
-    """
-    num_keys = target64.shape[0]
-    for k in range(num_keys):
-        target = target64[k]
-        target32 = np.uint32(target)
-        pos = start_pos[k]
-        visits = np.int64(0)
-        touched = np.int64(0)
-        matched = np.int64(0)
-        rsum = np.int64(0)
-        while pos < order_len:
-            node = order[pos]
-            visits += 1
-            size = sizes[node]
-            if max_keys[node] < target and next_node[node] != -1:
-                pos += 1
-                continue
-            left = np.int64(0)
-            right = np.int64(0)
-            if key_is_64:
-                for i in range(size):
-                    value = keys64[node, i]
-                    if value < target:
-                        left += 1
-                    if value <= target:
-                        right += 1
-            else:
-                for i in range(size):
-                    value32 = keys32[node, i]
-                    if value32 < target32:
-                        left += 1
-                    if value32 <= target32:
-                        right += 1
-            span = right - left
-            touched += span if span > 1 else 1
-            if span > 0:
-                for i in range(left, right):
-                    rsum += row_ids[node, i]
-                matched += span
-            if right < size:
-                break
-            pos += 1
-        row_sum[k] = rsum
-        matches[k] = matched
-        nodes_visited[k] = visits
-        entries[k] = touched
-
-
-# --------------------------------------------------------------------------
-# C backend
+# C kernels
 # --------------------------------------------------------------------------
 
 _CC_SOURCE = r"""
@@ -350,90 +149,224 @@ _CC_SOURCE = r"""
 #include <stdint.h>
 
 #define MAX_STACK 512
+/* locate_buckets reports, per ray stage, one row of STAGE_COLUMNS totals:
+   rays, hits, the deepest ray's node visits, node visits, triangle tests. */
+#define LOCATE_STAGES 6
+#define STAGE_COLUMNS 5
 
-void trace_axis_closest(
-    int32_t axis, int32_t perp_a, int32_t perp_b,
-    int64_t num_rays,
-    const double* origin_axis, const double* coord_a, const double* coord_b,
-    double* best_t,
-    double tolerance,
-    const uint16_t* qbounds,
-    const double* frame_min, const double* frame_scale,
-    const float* node_min, const float* node_max,
-    const int32_t* node_left, const int32_t* node_right,
-    const int32_t* node_first, const int32_t* node_count,
-    const int32_t* order,
-    const double* centroids,
-    uint8_t* hit, int64_t* best_tri,
-    int64_t* nodes_visited, int64_t* tri_tests)
+typedef struct {
+    const uint16_t* qbounds;
+    const double* frame_min;
+    const double* frame_scale;
+    const float* node_min;
+    const float* node_max;
+    const int32_t* node_left;
+    const int32_t* node_right;
+    const int32_t* node_first;
+    const int32_t* node_count;
+    const int32_t* order;
+    const double* centroids;
+    const int64_t* primitive_index;
+    const uint8_t* flipped;
+} BvhTables;
+
+typedef struct {
+    uint64_t min_rep, max_rep;
+    int32_t x_bits, y_bits, z_bits;
+    int32_t multi_line, multi_plane;
+    int32_t flips, remap;
+    double y_scale, z_scale;
+    double column_x;
+    double plane_lane_y;
+    int64_t row_marker_offset, plane_marker_offset;
+} LocateParams;
+
+/* Closest hit of one +axis ray: the scalar _trace_axis loop.  Returns 1 on a
+   hit (scene triangle in *tri_out), adds the ray's work to *visits_out and
+   *tests_out. */
+static inline int trace_ray(
+    const BvhTables* t, int32_t axis, int32_t perp_a, int32_t perp_b,
+    double o, double ca, double cb, double tolerance,
+    int64_t* tri_out, int64_t* visits_out, int64_t* tests_out)
 {
-    const double fa = frame_min[perp_a], sa = frame_scale[perp_a];
-    const double fb = frame_min[perp_b], sb = frame_scale[perp_b];
-    const double fx = frame_min[axis],  sx = frame_scale[axis];
-    for (int64_t r = 0; r < num_rays; r++) {
-        int32_t stack[MAX_STACK];
-        int32_t sp = 0;
-        stack[sp++] = 0;
-        const double o = origin_axis[r];
-        const double ca = coord_a[r];
-        const double cb = coord_b[r];
-        double bt = best_t[r];
-        int64_t visits = 0, tests = 0, tri_best = 0;
-        int has = 0;
-        while (sp > 0) {
-            const int32_t n = stack[--sp];
-            visits++;
-            const uint16_t* q = qbounds + 6 * (int64_t)n;
-            /* Quantized bounds are rounded outward: a reject here implies the
-               exact float32 test below rejects, so counters are unchanged. */
-            if (ca < fa + (double)q[perp_a] * sa - tolerance ||
-                ca > fa + (double)q[3 + perp_a] * sa + tolerance)
-                continue;
-            if (cb < fb + (double)q[perp_b] * sb - tolerance ||
-                cb > fb + (double)q[3 + perp_b] * sb + tolerance)
-                continue;
-            if (fx + (double)q[3 + axis] * sx < o ||
-                fx + (double)q[axis] * sx > o + bt)
-                continue;
-            const float* mn = node_min + 3 * (int64_t)n;
-            const float* mx = node_max + 3 * (int64_t)n;
-            if (ca < (double)mn[perp_a] - tolerance || ca > (double)mx[perp_a] + tolerance)
-                continue;
-            if (cb < (double)mn[perp_b] - tolerance || cb > (double)mx[perp_b] + tolerance)
-                continue;
-            if ((double)mx[axis] < o || (double)mn[axis] > o + bt)
-                continue;
-            const int32_t count = node_count[n];
-            if (count > 0) {
-                const int32_t first = node_first[n];
-                tests += count;
-                for (int32_t s = first; s < first + count; s++) {
-                    const int64_t tri = (int64_t)order[s];
-                    const double* c = centroids + 3 * tri;
-                    if (fabs(c[perp_a] - ca) > tolerance) continue;
-                    if (fabs(c[perp_b] - cb) > tolerance) continue;
-                    const double t = c[axis] - o;
-                    if (t < 0.0 || t > bt) continue;
-                    if (!has || t < bt) { has = 1; bt = t; tri_best = tri; }
-                }
+    const double fa = t->frame_min[perp_a], sa = t->frame_scale[perp_a];
+    const double fb = t->frame_min[perp_b], sb = t->frame_scale[perp_b];
+    const double fx = t->frame_min[axis],  sx = t->frame_scale[axis];
+    int32_t stack[MAX_STACK];
+    int32_t sp = 0;
+    stack[sp++] = 0;
+    double bt = INFINITY;
+    int64_t visits = 0, tests = 0, tri_best = 0;
+    int has = 0;
+    while (sp > 0) {
+        const int32_t n = stack[--sp];
+        visits++;
+        const uint16_t* q = t->qbounds + 6 * (int64_t)n;
+        /* Quantized bounds are rounded outward: a reject here implies the
+           exact float32 test below rejects, so counters are unchanged. */
+        if (ca < fa + (double)q[perp_a] * sa - tolerance ||
+            ca > fa + (double)q[3 + perp_a] * sa + tolerance)
+            continue;
+        if (cb < fb + (double)q[perp_b] * sb - tolerance ||
+            cb > fb + (double)q[3 + perp_b] * sb + tolerance)
+            continue;
+        if (fx + (double)q[3 + axis] * sx < o ||
+            fx + (double)q[axis] * sx > o + bt)
+            continue;
+        const float* mn = t->node_min + 3 * (int64_t)n;
+        const float* mx = t->node_max + 3 * (int64_t)n;
+        if (ca < (double)mn[perp_a] - tolerance || ca > (double)mx[perp_a] + tolerance)
+            continue;
+        if (cb < (double)mn[perp_b] - tolerance || cb > (double)mx[perp_b] + tolerance)
+            continue;
+        if ((double)mx[axis] < o || (double)mn[axis] > o + bt)
+            continue;
+        const int32_t count = t->node_count[n];
+        if (count > 0) {
+            const int32_t first = t->node_first[n];
+            tests += count;
+            for (int32_t s = first; s < first + count; s++) {
+                const int64_t tri = (int64_t)t->order[s];
+                const double* c = t->centroids + 3 * tri;
+                if (fabs(c[perp_a] - ca) > tolerance) continue;
+                if (fabs(c[perp_b] - cb) > tolerance) continue;
+                const double dist = c[axis] - o;
+                if (dist < 0.0 || dist > bt) continue;
+                if (!has || dist < bt) { has = 1; bt = dist; tri_best = tri; }
+            }
+        } else {
+            const int32_t left = t->node_left[n];
+            const int32_t right = t->node_right[n];
+            if ((double)t->node_min[3 * (int64_t)left + axis] <=
+                (double)t->node_min[3 * (int64_t)right + axis]) {
+                stack[sp++] = right;
+                stack[sp++] = left;
             } else {
-                const int32_t left = node_left[n];
-                const int32_t right = node_right[n];
-                if ((double)node_min[3 * (int64_t)left + axis] <=
-                    (double)node_min[3 * (int64_t)right + axis]) {
-                    stack[sp++] = right;
-                    stack[sp++] = left;
-                } else {
-                    stack[sp++] = left;
-                    stack[sp++] = right;
-                }
+                stack[sp++] = left;
+                stack[sp++] = right;
             }
         }
-        hit[r] = (uint8_t)has;
-        best_t[r] = bt;
-        best_tri[r] = tri_best;
-        nodes_visited[r] = visits;
-        tri_tests[r] = tests;
+    }
+    *tri_out = tri_best;
+    *visits_out += visits;
+    *tests_out += tests;
+    return has;
+}
+
+/* One ray of stage `stage` from scene origin (x, y, z), with its totals. */
+static inline int stage_ray(
+    const BvhTables* t, int32_t axis, double x, double y, double z,
+    double tolerance, int stage, int64_t* stages, int64_t* key_nodes,
+    int64_t* tri_out)
+{
+    int64_t visits = 0;
+    int64_t* row = stages + STAGE_COLUMNS * stage;
+    int has;
+    if (axis == 0)
+        has = trace_ray(t, 0, 1, 2, x, y, z, tolerance, tri_out, &visits, &row[4]);
+    else if (axis == 1)
+        has = trace_ray(t, 1, 0, 2, y, x, z, tolerance, tri_out, &visits, &row[4]);
+    else
+        has = trace_ray(t, 2, 0, 1, z, x, y, tolerance, tri_out, &visits, &row[4]);
+    row[0] += 1;
+    row[1] += has;
+    if (visits > row[2]) row[2] = visits;
+    row[3] += visits;
+    *key_nodes += visits;
+    return has;
+}
+
+static inline int64_t remap(const LocateParams* p, const BvhTables* t, int64_t tri)
+{
+    const int64_t prim = t->primitive_index[tri];
+    if (!p->remap) return prim;
+    if (prim >= p->plane_marker_offset && p->multi_plane)
+        return prim - p->plane_marker_offset + 1;
+    if (prim >= p->row_marker_offset)
+        return prim - p->row_marker_offset + 1;
+    return prim;
+}
+
+static inline int64_t snap(double coordinate, double scale)
+{
+    return (int64_t)nearbyint((double)(float)coordinate / scale);
+}
+
+static inline uint64_t bit_mask(int32_t bits)
+{
+    return bits >= 64 ? ~(uint64_t)0 : (((uint64_t)1 << bits) - 1);
+}
+
+/* A row found by a discovery ray: the back-face early exit, else the
+   leftmost representative of that row (stage `stage`).  -1 is MISS. */
+static inline int64_t resolve_row(
+    const LocateParams* p, const BvhTables* t, double tolerance,
+    int64_t row_tri, int64_t plane, int stage, int64_t* stages, int64_t* key_nodes)
+{
+    if (p->flips && t->flipped[row_tri]) return remap(p, t, row_tri);
+    const int64_t row_y = snap(t->centroids[3 * row_tri + 1], p->y_scale);
+    int64_t tri;
+    if (stage_ray(t, 0, 0.0 - 0.5, (double)row_y * p->y_scale,
+                  (double)plane * p->z_scale, tolerance, stage, stages, key_nodes, &tri))
+        return remap(p, t, tri);
+    return -1;
+}
+
+void locate_buckets(
+    const BvhTables* t, const LocateParams* p, double tolerance,
+    int64_t num_keys, const void* keys, int32_t key_is_64,
+    int64_t* bucket_ids, int64_t* nodes, int64_t* stages)
+{
+    const uint64_t* keys64 = (const uint64_t*)keys;
+    const uint32_t* keys32 = (const uint32_t*)keys;
+    const uint64_t x_mask = bit_mask(p->x_bits);
+    const uint64_t y_mask = bit_mask(p->y_bits);
+    const uint64_t z_mask = bit_mask(p->z_bits);
+    for (int s = 0; s < LOCATE_STAGES * STAGE_COLUMNS; s++) stages[s] = 0;
+    for (int64_t k = 0; k < num_keys; k++) {
+        const uint64_t key = key_is_64 ? keys64[k] : (uint64_t)keys32[k];
+        int64_t key_nodes = 0;
+        int64_t out = -1;
+        int64_t tri;
+        if (key > p->max_rep) {
+            out = -1;
+        } else if (key < p->min_rep) {
+            out = 0;
+        } else {
+            const int64_t kx = (int64_t)(key & x_mask);
+            const int64_t ky = p->y_bits ? (int64_t)((key >> p->x_bits) & y_mask) : 0;
+            const int64_t kz =
+                p->z_bits ? (int64_t)((key >> (p->x_bits + p->y_bits)) & z_mask) : 0;
+            const double scene_z = (double)kz * p->z_scale;
+            int done = 0;
+            /* Ray 1: along +x in the key's own row. */
+            if (stage_ray(t, 0, (double)kx - 0.5, (double)ky * p->y_scale, scene_z,
+                          tolerance, 0, stages, &key_nodes, &tri)) {
+                out = remap(p, t, tri);
+                done = 1;
+            }
+            /* Ray 2 (+ its leftmost ray): next populated row on the plane. */
+            if (!done && p->multi_line &&
+                stage_ray(t, 1, p->column_x, ((double)(ky + 1) - 0.5) * p->y_scale,
+                          scene_z, tolerance, 1, stages, &key_nodes, &tri)) {
+                out = resolve_row(p, t, tolerance, tri, kz, 2, stages, &key_nodes);
+                done = 1;
+            }
+            /* Rays 3-5: next populated plane, its first row, its leftmost
+               representative. */
+            if (!done && p->multi_plane &&
+                stage_ray(t, 2, p->column_x, p->plane_lane_y * p->y_scale,
+                          ((double)(kz + 1) - 0.5) * p->z_scale,
+                          tolerance, 3, stages, &key_nodes, &tri)) {
+                const int64_t plane_z = snap(t->centroids[3 * tri + 2], p->z_scale);
+                if (stage_ray(t, 1, p->column_x, (0.0 - 0.5) * p->y_scale,
+                              (double)plane_z * p->z_scale,
+                              tolerance, 4, stages, &key_nodes, &tri))
+                    out = resolve_row(p, t, tolerance, tri, plane_z, 5, stages, &key_nodes);
+            }
+        }
+        bucket_ids[k] = out;
+        nodes[k] = key_nodes;
     }
 }
 
@@ -527,8 +460,20 @@ def _load_cc_library() -> Optional[ctypes.CDLL]:
             with open(source_path, "w") as handle:
                 handle.write(_CC_SOURCE)
             scratch = library_path + f".tmp{os.getpid()}"
+            # No FMA contraction: every double expression must round exactly
+            # like the numpy/Python reference engines on every target.
             subprocess.run(
-                [compiler, "-O3", "-fPIC", "-shared", "-o", scratch, source_path, "-lm"],
+                [
+                    compiler,
+                    "-O3",
+                    "-ffp-contract=off",
+                    "-fPIC",
+                    "-shared",
+                    "-o",
+                    scratch,
+                    source_path,
+                    "-lm",
+                ],
                 check=True,
                 capture_output=True,
                 timeout=120,
@@ -546,65 +491,74 @@ def _pointer(array: np.ndarray) -> ctypes.c_void_p:
     return ctypes.c_void_p(array.ctypes.data)
 
 
-def _make_cc_axis(library: ctypes.CDLL):
-    """The C axis kernel; its 11 node-table arguments arrive as ready-made
-    pointers (:meth:`CompiledBvhTables.kernel_args`)."""
-    fn = library.trace_axis_closest
+#: ``BvhTables`` fields, in C declaration order: each names the
+#: :class:`CompiledBvhTables` array it points into.
+_TABLE_FIELDS = (
+    "qbounds",
+    "frame_min",
+    "frame_scale",
+    "node_min",
+    "node_max",
+    "node_left",
+    "node_right",
+    "node_first",
+    "node_count",
+    "order",
+    "centroids",
+    "primitive_index",
+    "flipped",
+)
+
+
+class _BvhTablesStruct(ctypes.Structure):
+    """Mirror of the kernels' ``BvhTables`` (node-table pointers)."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in _TABLE_FIELDS]
+
+
+class LocateParams(ctypes.Structure):
+    """Representation parameters of :func:`locate_buckets` (``LocateParams``).
+
+    ``column_x`` is the grid column of the y/z discovery rays (``x_max`` for
+    the optimized scene, the ``-1`` marker lane for the naive one) and
+    ``plane_lane_y`` the grid row of the z discovery ray; ``flips`` enables
+    the back-face early exit and ``remap`` the marker-slot → bucket remap.
+    """
+
+    _fields_ = [
+        ("min_rep", ctypes.c_uint64),
+        ("max_rep", ctypes.c_uint64),
+        ("x_bits", ctypes.c_int32),
+        ("y_bits", ctypes.c_int32),
+        ("z_bits", ctypes.c_int32),
+        ("multi_line", ctypes.c_int32),
+        ("multi_plane", ctypes.c_int32),
+        ("flips", ctypes.c_int32),
+        ("remap", ctypes.c_int32),
+        ("y_scale", ctypes.c_double),
+        ("z_scale", ctypes.c_double),
+        ("column_x", ctypes.c_double),
+        ("plane_lane_y", ctypes.c_double),
+        ("row_marker_offset", ctypes.c_int64),
+        ("plane_marker_offset", ctypes.c_int64),
+    ]
+
+
+def _bind_locate(library: ctypes.CDLL):
+    fn = library.locate_buckets
     fn.restype = None
-
-    def axis_kernel(
-        axis,
-        perp_a,
-        perp_b,
-        origin_axis,
-        coord_a,
-        coord_b,
-        best_t,
-        tolerance,
-        qbounds,
-        frame_min,
-        frame_scale,
-        node_min,
-        node_max,
-        node_left,
-        node_right,
-        node_first,
-        node_count,
-        order,
-        centroids,
-        hit,
-        best_tri,
-        nodes_visited,
-        tri_tests,
-    ):
-        fn(
-            ctypes.c_int32(axis),
-            ctypes.c_int32(perp_a),
-            ctypes.c_int32(perp_b),
-            ctypes.c_int64(origin_axis.shape[0]),
-            _pointer(origin_axis),
-            _pointer(coord_a),
-            _pointer(coord_b),
-            _pointer(best_t),
-            ctypes.c_double(tolerance),
-            qbounds,
-            frame_min,
-            frame_scale,
-            node_min,
-            node_max,
-            node_left,
-            node_right,
-            node_first,
-            node_count,
-            order,
-            centroids,
-            _pointer(hit),
-            _pointer(best_tri),
-            _pointer(nodes_visited),
-            _pointer(tri_tests),
-        )
-
-    return axis_kernel
+    fn.argtypes = [
+        ctypes.c_void_p,
+        ctypes.c_void_p,
+        ctypes.c_double,
+        ctypes.c_int64,
+        ctypes.c_void_p,
+        ctypes.c_int32,
+        ctypes.c_void_p,
+        ctypes.c_void_p,
+        ctypes.c_void_p,
+    ]
+    return fn
 
 
 def _make_cc_chain(library: ctypes.CDLL):
@@ -618,8 +572,7 @@ def _make_cc_chain(library: ctypes.CDLL):
         order,
         capacity,
         key_is_64,
-        keys64,
-        keys32,
+        keys_slab,
         row_ids,
         sizes,
         max_keys,
@@ -629,7 +582,6 @@ def _make_cc_chain(library: ctypes.CDLL):
         nodes_visited,
         entries,
     ):
-        keys_slab = keys64 if key_is_64 else keys32
         fn(
             ctypes.c_int64(target64.shape[0]),
             _pointer(target64),
@@ -775,7 +727,6 @@ class CompiledBvhTables:
 
     def __init__(self, bvh: Bvh, arena: Arena) -> None:
         self.arena = arena
-        self._pointers: Optional[Tuple[ctypes.c_void_p, ...]] = None
         self.stack_depth = (bvh.depth() + 3) if bvh.num_nodes else 0
         self.usable = 0 < bvh.num_nodes and self.stack_depth <= MAX_STACK
         if not self.usable:
@@ -816,32 +767,18 @@ class CompiledBvhTables:
         np.copyto(self.order, bvh.primitive_order)
         self.centroids = arena.alloc((bvh.scene.centres.shape[0], 3), np.float64)
         np.copyto(self.centroids, bvh.scene.centres)
+        # Per-triangle hit attributes, read only on hits (outside the arena,
+        # which holds the traversal tables).
+        self.primitive_index = np.ascontiguousarray(bvh.scene.primitive_indices, dtype=np.int64)
+        self.flipped = np.ascontiguousarray(bvh.scene.flipped, dtype=np.uint8)
+        #: The kernels' ``BvhTables`` struct, built once: the arrays it points
+        #: into are assigned only here and live as long as the tables.
+        self.struct = _BvhTablesStruct(*(array.ctypes.data for array in self.table_arrays()))
+        self.address = ctypes.addressof(self.struct)
 
-    def kernel_args(self, pointers: bool) -> Tuple:
-        """The 11 node-table arguments of the axis kernel, in kernel order.
-
-        With ``pointers`` (the C backend) they are ctypes pointers, built on
-        the first launch and reused: the arrays are assigned only in
-        ``__init__`` and live as long as the tables.
-        """
-        arrays = (
-            self.qbounds,
-            self.frame_min,
-            self.frame_scale,
-            self.node_min,
-            self.node_max,
-            self.node_left,
-            self.node_right,
-            self.node_first,
-            self.node_count,
-            self.order,
-            self.centroids,
-        )
-        if not pointers:
-            return arrays
-        if self._pointers is None:
-            self._pointers = tuple(_pointer(array) for array in arrays)
-        return self._pointers
+    def table_arrays(self) -> Tuple[np.ndarray, ...]:
+        """The arrays behind :attr:`struct`, in ``BvhTables`` field order."""
+        return tuple(getattr(self, name) for name in _TABLE_FIELDS)
 
     def verify_conservative(self, bvh: Bvh) -> bool:
         """Check the outward-rounding invariant (used by the property test)."""
@@ -854,85 +791,66 @@ class CompiledBvhTables:
 
 
 # --------------------------------------------------------------------------
-# Megakernel entry
+# Fused bucket location
 # --------------------------------------------------------------------------
 
 
-def trace_axis_closest_batch(
-    soa: SoaBvh,
+def locate_buckets(
     tables: CompiledBvhTables,
-    axis: int,
-    origins: np.ndarray,
-    tmax: np.ndarray,
+    params: LocateParams,
+    keys: np.ndarray,
     tolerance: float,
     stats,
-) -> Optional[AxisClosestBatch]:
-    """Closest hits of a +``axis`` ray batch through the compiled megakernel.
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Bucket ids of a whole key batch in one kernel call.
 
-    Returns ``None`` (caller falls back to the vector engine) when no backend
-    is available or the tables are unusable.  Results, per-ray node visits
-    and ``stats`` totals are bit-identical to the scalar oracle.
+    ``tables`` must be :attr:`~CompiledBvhTables.usable`.  Returns
+    ``(bucket_ids, nodes_visited)`` — ``-1`` (MISS) above the largest
+    representative, ``0`` below the smallest — or ``None`` (caller falls back
+    to the vector engine) when no backend is available.  ``stats``
+    accumulates the ray totals, and the profiler sees one
+    ``compiled_axis_closest`` launch per non-empty ray stage, exactly as the
+    staged engines report them.
     """
     kernels = backend_kernels()
-    if kernels is None or not tables.usable:
+    if kernels is None:
         return None
-    axis_kernel = kernels[0]
-
-    origins = np.asarray(origins, dtype=np.float64)
-    num_rays = int(origins.shape[0])
-    perp_a, perp_b = _PERP_AXES[axis]
-    origin_axis = np.ascontiguousarray(origins[:, axis])
-    coord_a = np.ascontiguousarray(origins[:, perp_a])
-    coord_b = np.ascontiguousarray(origins[:, perp_b])
-    best_t = np.ascontiguousarray(tmax, dtype=np.float64).copy()
-
-    hit = np.zeros(num_rays, dtype=np.uint8)
-    best_tri = np.zeros(num_rays, dtype=np.int64)
-    nodes_visited = np.zeros(num_rays, dtype=np.int64)
-    tri_tests = np.zeros(num_rays, dtype=np.int64)
-
-    axis_kernel(
-        axis,
-        perp_a,
-        perp_b,
-        origin_axis,
-        coord_a,
-        coord_b,
-        best_t,
-        float(tolerance),
-        *tables.kernel_args(pointers=available_backend() == "cc"),
-        hit,
-        best_tri,
-        nodes_visited,
-        tri_tests,
+    if keys.dtype != np.uint32 and keys.dtype != np.uint64:
+        keys = keys.astype(np.uint64)
+    keys = np.ascontiguousarray(keys)
+    num_keys = int(keys.shape[0])
+    bucket_ids = np.empty(num_keys, dtype=np.int64)
+    nodes = np.empty(num_keys, dtype=np.int64)
+    stages = np.empty((LOCATE_STAGES, 5), dtype=np.int64)
+    kernels[0](
+        tables.address,
+        ctypes.addressof(params),
+        tolerance,
+        num_keys,
+        keys.ctypes.data,
+        keys.dtype.itemsize == 8,
+        bucket_ids.ctypes.data,
+        nodes.ctypes.data,
+        stages.ctypes.data,
     )
 
-    has_best = hit.astype(bool)
-    stats.rays_cast += num_rays
-    total_nodes = int(nodes_visited.sum())
+    # Per-stage columns: rays, hits, deepest ray's visits, visits, tri tests.
+    rays, hits, _, total_nodes, tri_tests = stages.sum(axis=0).tolist()
+    stats.rays_cast += rays
     stats.nodes_visited += total_nodes
     stats.aabb_tests += total_nodes
-    stats.triangle_tests += int(tri_tests.sum())
-    hits = int(has_best.sum())
+    stats.triangle_tests += tri_tests
     stats.hits += hits
-    stats.misses += num_rays - hits
+    stats.misses += rays - hits
 
-    # Same occupancy/node-visit series the wavefront kernels feed: a
-    # megakernel "iteration" is the deepest per-ray visit count (the lockstep
-    # step count the vector engine would have needed).
+    # Same occupancy/node-visit series the staged engines feed, one launch per
+    # stage: a megakernel "iteration" is the deepest per-ray visit count (the
+    # lockstep step count the vector engine would have needed).
     prof = _profile.profiler()
     if prof is not None:
-        iterations = int(nodes_visited.max()) if num_rays else 0
-        prof.observe_wavefront("compiled_axis_closest", iterations, num_rays, total_nodes)
-
-    point = np.zeros((num_rays, 3), dtype=np.float32)
-    if hits:
-        point[has_best] = soa.centroids[best_tri[has_best]].astype(np.float32)
-    return AxisClosestBatch(
-        hit=has_best,
-        t=best_t,
-        primitive_index=np.where(has_best, soa.primitive_indices[best_tri], -1).astype(np.int64),
-        front_face=np.where(has_best, ~soa.flipped[best_tri], True),
-        point=point,
-        nodes_visited=nodes_visited,
-    )
+        for stage_rays, _, max_visits, stage_nodes, _ in stages.tolist():
+            if stage_rays:
+                prof.observe_wavefront(
+                    "compiled_axis_closest", max_visits, stage_rays, stage_nodes
+                )
+    return bucket_ids, nodes

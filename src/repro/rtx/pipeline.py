@@ -50,8 +50,9 @@ class RaytracingPipeline:
         self.build_flags = build_flags
         self._bvh: Optional[Bvh] = None
         self._engine: Optional[TraversalEngine] = None
-        #: Engine used by the batched axis-ray casts: ``"vector"`` (wavefront)
-        #: or ``"compiled"`` (fused megakernel).  Indexes set this around a
+        #: Engine of the batched bucket location: ``"vector"`` (staged
+        #: wavefront launches) or ``"compiled"`` (one fused kernel call per
+        #: batch, :meth:`locate_buckets_batch`).  Indexes set this around a
         #: batch instead of threading a parameter through every staging layer.
         self.batch_engine = "vector"
         #: Shard-local arena backing the compiled tier's node tables; owned
@@ -181,9 +182,7 @@ class RaytracingPipeline:
         """
         engine = self._require_engine()
         local = RayStats()
-        result = engine.trace_axis_closest_batch(
-            axis, origins, tmax, local, engine=self.batch_engine
-        )
+        result = engine.trace_axis_closest_batch(axis, origins, tmax, local)
         if stats is not None:
             stats.merge(local)
         self.lifetime_stats.merge(local)
@@ -204,6 +203,21 @@ class RaytracingPipeline:
             stats.merge(local)
         self.lifetime_stats.merge(local)
         return result
+
+    def locate_buckets_batch(self, params, keys: np.ndarray, stats: Optional[RayStats] = None):
+        """cgRX bucket location of a key batch in one compiled kernel call.
+
+        ``(bucket_ids, nodes_visited)`` of
+        :meth:`~repro.rtx.traversal.TraversalEngine.locate_buckets_batch`, or
+        ``None`` when the compiled tier cannot serve the current tree.
+        """
+        local = RayStats()
+        located = self._require_engine().locate_buckets_batch(params, keys, local)
+        if located is not None:
+            if stats is not None:
+                stats.merge(local)
+            self.lifetime_stats.merge(local)
+        return located
 
     def launch_closest(self, rays: Sequence[Ray], engine: str = "scalar") -> LaunchResult:
         """Fire a batch of rays (one simulated thread each) and collect closest hits.

@@ -464,14 +464,8 @@ class TraversalEngine:
 
     # ------------------------------------------------------- wavefront batches
 
-    def _trace_axis_batch(self, axis, origins, tmax, collect_all, stats, engine="vector"):
-        """Shared batch entry: trace a whole axis-ray batch through one kernel.
-
-        ``engine="compiled"`` routes closest-hit batches through the fused
-        megakernel of :mod:`repro.rtx.compiled`; all-hits batches (and any
-        batch the compiled tier cannot serve) take the wavefront path.  Both
-        kernels produce identical hits and counters.
-        """
+    def _trace_axis_batch(self, axis, origins, tmax, collect_all, stats):
+        """Shared batch entry: trace a whole axis-ray batch in wavefront lockstep."""
         from repro.rtx import wavefront
 
         origins = np.asarray(origins, dtype=np.float64)
@@ -480,30 +474,9 @@ class TraversalEngine:
         else:
             tmax = np.asarray(tmax, dtype=np.float64)
         delta = RayStats()
-        result = None
-        if (
-            engine == "compiled"
-            and not collect_all
-            and origins.shape[0]
-            and self._bvh.num_nodes
-        ):
-            from repro.rtx import compiled
-
-            result = compiled.trace_axis_closest_batch(
-                self.soa(),
-                self.compiled_tables(),
-                axis,
-                origins,
-                tmax,
-                self.AXIS_HIT_TOLERANCE,
-                delta,
-            )
-            if result is None:
-                compiled.record_fallback("tables_unusable")
-        if result is None:
-            result = wavefront.trace_axis_batch(
-                self.soa(), axis, origins, tmax, self.AXIS_HIT_TOLERANCE, collect_all, delta
-            )
+        result = wavefront.trace_axis_batch(
+            self.soa(), axis, origins, tmax, self.AXIS_HIT_TOLERANCE, collect_all, delta
+        )
         if stats is not None:
             stats.merge(delta)
         self.stats.merge(delta)
@@ -515,15 +488,14 @@ class TraversalEngine:
         origins: np.ndarray,
         tmax: Optional[np.ndarray] = None,
         stats: Optional[RayStats] = None,
-        engine: str = "vector",
     ):
-        """Closest hits of a batch of +``axis`` rays (wavefront or compiled).
+        """Closest hits of a batch of +``axis`` rays (wavefront lockstep).
 
         Returns a :class:`~repro.rtx.wavefront.AxisClosestBatch`; hit records,
         per-ray node visits and ``stats`` totals are identical to calling
-        :meth:`trace_axis_closest` per ray, whichever engine executes.
+        :meth:`trace_axis_closest` per ray.
         """
-        return self._trace_axis_batch(axis, origins, tmax, False, stats, engine)
+        return self._trace_axis_batch(axis, origins, tmax, False, stats)
 
     def trace_axis_all_batch(
         self,
@@ -531,16 +503,40 @@ class TraversalEngine:
         origins: np.ndarray,
         tmax: Optional[np.ndarray] = None,
         stats: Optional[RayStats] = None,
-        engine: str = "vector",
     ):
         """All hits of a batch of +``axis`` rays (wavefront lockstep).
 
         Returns a :class:`~repro.rtx.wavefront.AxisAllBatch` with hits grouped
-        by ray and sorted by distance, matching :meth:`trace_axis_all`.  The
-        compiled tier covers only closest-hit batches, so all-hits batches
-        stay on the wavefront kernels under every engine.
+        by ray and sorted by distance, matching :meth:`trace_axis_all`.
         """
-        return self._trace_axis_batch(axis, origins, tmax, True, stats, engine)
+        return self._trace_axis_batch(axis, origins, tmax, True, stats)
+
+    def locate_buckets_batch(self, params, keys: np.ndarray, stats: RayStats):
+        """cgRX bucket location of a key batch in one compiled kernel call.
+
+        Runs each key's whole ray sequence (see
+        :func:`repro.rtx.compiled.locate_buckets`) and returns
+        ``(bucket_ids, nodes_visited)``, or ``None`` when the compiled tier
+        cannot serve this tree (the caller stages the rays on the vector
+        engine instead).  ``stats`` and :attr:`stats` accumulate the same
+        totals as tracing every ray one by one.
+        """
+        if not self._bvh.num_nodes:
+            return None
+        from repro.rtx import compiled
+
+        tables = self.compiled_tables()
+        if not tables.usable:
+            compiled.record_fallback("tables_unusable")
+            return None
+        delta = RayStats()
+        located = compiled.locate_buckets(
+            tables, params, keys, self.AXIS_HIT_TOLERANCE, delta
+        )
+        if located is not None:
+            stats.merge(delta)
+            self.stats.merge(delta)
+        return located
 
     def trace_closest_batch(
         self,

@@ -47,6 +47,23 @@ def negative_key_mask(keys: np.ndarray) -> "np.ndarray | None":
     return None
 
 
+def out_of_domain_mask(keys: np.ndarray, key_max: int) -> "np.ndarray | None":
+    """Mask of keys outside the keyspace ``[0, key_max]``; ``None`` when
+    every key is inside.
+
+    Negative keys sort below the keyspace; keys above ``key_max`` (a 64-bit
+    client batch against a 32-bit deployment) above it.  Casting either to
+    the deployment's key dtype would wrap it onto a stored key.
+    """
+    keys = np.asarray(keys)
+    mask = negative_key_mask(keys)
+    if keys.dtype.kind in "iu" and np.iinfo(keys.dtype).max > key_max:
+        above = keys > key_max
+        if above.any():
+            mask = above if mask is None else mask | above
+    return mask
+
+
 class Partitioner(ABC):
     """Maps keys (and key ranges) of an index deployment onto shards."""
 

@@ -36,6 +36,7 @@ from repro.serve.partition import (
     Partitioner,
     make_partitioner,
     negative_key_mask,
+    out_of_domain_mask,
     routing_keys,
 )
 from repro.workloads.keygen import KeySet
@@ -148,6 +149,7 @@ class ShardRouter:
         self.key_bits = key_bits
         self.key_bytes = key_bits // 8
         self._key_dtype = np.uint32 if key_bits == 32 else np.uint64
+        self._key_max = int(np.iinfo(self._key_dtype).max)
         self.device = device
         self.factory = factory
 
@@ -612,15 +614,16 @@ class ShardRouter:
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
         """Scatter a point-lookup batch, answer per shard, gather in order.
 
-        Negative (signed-dtype) keys are below the unsigned stored keyspace:
-        they are answered as definitional misses without touching any shard.
-        Casting them instead would wrap them to the top of the keyspace and —
-        for 32-bit deployments — alias real stored keys.
+        Keys outside the stored keyspace — negative (signed-dtype) keys, and
+        keys above the key dtype's maximum — are answered as definitional
+        misses without touching any shard.  Casting them instead would wrap
+        them onto the keyspace and, for 32-bit deployments, alias real
+        stored keys.
         """
         raw = np.asarray(keys)
-        negative = negative_key_mask(raw)
-        if negative is not None:
-            keys = np.where(negative, 0, raw).astype(self._key_dtype)
+        outside = out_of_domain_mask(raw, self._key_max)
+        if outside is not None:
+            keys = np.where(outside, 0, raw).astype(self._key_dtype)
         else:
             keys = np.asarray(raw, dtype=self._key_dtype)
         num = int(keys.shape[0])
@@ -646,10 +649,10 @@ class ShardRouter:
         try:
             if num:
                 shard_ids = self.partitioner.shard_of(keys)
-                if negative is not None:
+                if outside is not None:
                     # Out-of-domain keys keep the (-1, 0) miss answer and are
                     # never scattered.
-                    shard_ids[negative] = -1
+                    shard_ids[outside] = -1
                 for shard_id in np.unique(shard_ids):
                     if shard_id < 0:
                         continue
@@ -692,16 +695,20 @@ class ShardRouter:
     def range_lookup_batch(self, lows: np.ndarray, highs: np.ndarray) -> RangeLookupResult:
         """Scatter range lookups to overlapping shards and concatenate results.
 
-        Negative endpoints clamp to the bottom of the unsigned keyspace: a
-        range whose high end is negative matches nothing, one that straddles
-        zero behaves like ``[0, high]``.
+        Endpoints clamp to the unsigned keyspace: a range whose high end is
+        negative matches nothing, one that straddles zero behaves like
+        ``[0, high]``; likewise a range whose low end lies above the key
+        dtype's maximum matches nothing, and a high end above it clamps to
+        the maximum.
         """
         lows_raw = np.asarray(lows)
         highs_raw = np.asarray(highs)
         if lows_raw.shape != highs_raw.shape:
             raise ValueError("lows and highs must have the same shape")
-        lows = routing_keys(lows_raw).astype(self._key_dtype)
-        highs = routing_keys(highs_raw).astype(self._key_dtype)
+        lows = routing_keys(lows_raw)
+        beyond = out_of_domain_mask(lows, self._key_max)
+        lows = np.minimum(lows, self._key_max).astype(self._key_dtype)
+        highs = np.minimum(routing_keys(highs_raw), self._key_max).astype(self._key_dtype)
         num = int(lows.shape[0])
         parts: List[KernelStats] = [self._routing_stats(num)]
         self.last_calls = []
@@ -714,15 +721,20 @@ class ShardRouter:
         # shard span instead of a clamped one.
         per_shard: Dict[int, "List[int] | np.ndarray"] = {}
         # Span dispatch is plain searchsorted math; "compiled" behaves as
-        # "vector" here and accelerates inside the shards instead.
+        # "vector" here and accelerates inside the shards instead.  Ranges
+        # starting above the keyspace touch no shard.
         if self.engine != "scalar" and num:
             first, last = self.partitioner.shard_span_batch(lows_raw, highs_raw)
+            if beyond is not None:
+                last[beyond] = -1
             for shard_id in range(self.num_shards):
                 member = np.nonzero((first <= shard_id) & (shard_id <= last))[0]
                 if member.size:
                     per_shard[shard_id] = member
         else:
             for position in range(num):
+                if beyond is not None and beyond[position]:
+                    continue
                 for shard_id in self.partitioner.shards_for_range(int(lows_raw[position]), int(highs_raw[position])):
                     per_shard.setdefault(int(shard_id), []).append(position)
 

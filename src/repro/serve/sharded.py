@@ -37,6 +37,7 @@ from repro.serve.batching import BatchPolicy, BatchScheduler
 from repro.serve.cache import ResultCache
 from repro.serve.maintenance import MaintenancePolicy, MaintenanceWorker, ReshardPolicy
 from repro.serve.metrics import MetricsRegistry
+from repro.serve.partition import out_of_domain_mask
 from repro.serve.qos import UNLABELED_TENANT, AdmissionController, TenantQoS
 from repro.serve.reliability import ReliabilityConfig, ReliabilityState
 from repro.serve.replication import (
@@ -279,6 +280,7 @@ class ShardedIndex(GpuIndex):
         self.config = config or ServeConfig()
         self.name = self.config.describe()
         self._key_dtype = np.uint32 if self.config.key_bits == 32 else np.uint64
+        self._key_max = int(np.iinfo(self._key_dtype).max)
         if self.config.reshard:
             if self.config.partitioner != "range":
                 raise ValueError(
@@ -545,11 +547,14 @@ class ShardedIndex(GpuIndex):
         return KernelStats(name="serve.cache_probe", compute_ops=num_keys, launches=0)
 
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
-        # Signed batches keep their dtype: the router clamps negative keys
-        # below the unsigned keyspace, and an eager uint cast here would wrap
-        # them onto stored keys instead (and poison the cache with aliases).
+        # Signed batches, and batches holding keys above the key dtype's
+        # maximum, keep their dtype: the router answers out-of-domain keys as
+        # misses, and an eager uint cast here would wrap them onto stored
+        # keys instead (and poison the cache with aliases).
         keys = np.asarray(keys)
-        if not np.issubdtype(keys.dtype, np.signedinteger):
+        if not np.issubdtype(keys.dtype, np.signedinteger) and (
+            out_of_domain_mask(keys, self._key_max) is None
+        ):
             keys = keys.astype(self._key_dtype)
         num = int(keys.shape[0])
         if self.cache is None:

@@ -150,6 +150,46 @@ def test_update_batch_rejects_negative_keys(keyset):
         index.update_batch(delete_keys=np.array([-3], dtype=np.int64))
 
 
+@pytest.mark.parametrize("engine", ["scalar", "vector", "compiled"])
+@pytest.mark.parametrize("partitioner", ["range", "hash"])
+@pytest.mark.parametrize("replication_factor", [1, 3])
+def test_32bit_deployment_keys_above_keyspace_do_not_wrap(
+    engine, partitioner, replication_factor
+):
+    """A 32-bit deployment must not wrap 64-bit client keys onto its keyspace:
+    range highs above it clamp, point keys and range lows above it miss."""
+    keys = np.arange(100, 200, dtype=np.uint64)
+    index = ShardedIndex(
+        keys,
+        config=ServeConfig(
+            key_bits=32,
+            num_shards=2,
+            engine=engine,
+            partitioner=partitioner,
+            replication_factor=replication_factor,
+        ),
+    )
+    top = 2**32
+    result = index.range_lookup_batch(
+        np.array([150, top + 1, top - 1, 120], dtype=np.uint64),
+        np.array([top + 5, top + 10, top + 10, 130], dtype=np.uint64),
+    )
+    np.testing.assert_array_equal(np.sort(result.row_ids[0]), np.arange(50, 100))
+    assert result.row_ids[1].shape[0] == 0 and result.row_ids[2].shape[0] == 0
+    np.testing.assert_array_equal(np.sort(result.row_ids[3]), np.arange(20, 31))
+
+    for batch in (
+        np.array([top + 150, 150, top - 1], dtype=np.uint64),
+        np.array([top + 150, 150, -3], dtype=np.int64),
+    ):
+        point = index.point_lookup_batch(batch)
+        np.testing.assert_array_equal(point.row_ids, [-1, 50, -1])
+        np.testing.assert_array_equal(point.match_counts, [0, 1, 0])
+    # In-domain answers (cached or not) are unchanged by the wide batches.
+    in_domain = index.point_lookup_batch(np.array([150, 199, 99], dtype=np.uint32))
+    np.testing.assert_array_equal(in_domain.row_ids, [50, 99, -1])
+
+
 # --------------------------------------------------------------------------
 # Bugfix 2: extreme percentiles answer from the exact extrema
 # --------------------------------------------------------------------------

@@ -10,6 +10,8 @@ that code out.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -274,11 +276,14 @@ def test_table_pointers_are_built_once_and_address_the_tables():
     index = CgRXIndex(keys, config=CgRXConfig(bucket_size=8, key_bits=64))
     tables = compiled.CompiledBvhTables(index.pipeline.bvh, compiled.Arena())
     assert tables.usable
-    pointers = tables.kernel_args(pointers=True)
-    assert tables.kernel_args(pointers=True) is pointers
-    arrays = tables.kernel_args(pointers=False)
-    assert len(arrays) == len(pointers) == 11
-    assert [p.value for p in pointers] == [a.ctypes.data for a in arrays]
+    struct = tables.struct
+    assert tables.address == ctypes.addressof(struct)
+    arrays = tables.table_arrays()
+    assert len(arrays) == len(struct._fields_) == 13
+    assert [getattr(struct, name) for name, _ in struct._fields_] == [
+        a.ctypes.data for a in arrays
+    ]
+    assert all(a.flags.c_contiguous for a in arrays)
 
 
 # --------------------------------------------------------------------------

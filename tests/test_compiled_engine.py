@@ -8,10 +8,10 @@ conservatively outward, shard-local arenas rebuilt in place, graceful
 degradation to the vector engine when no backend exists, and the
 ``RayBatch`` pre-stacked fast path of the wavefront tracer.
 
-Backend handling: the suite runs against whatever backend the environment
-resolves (numba when installed, otherwise the system C compiler).  Tests
-that need a *specific* backend pin it with ``REPRO_COMPILED_BACKEND`` and
-reset the module cache around themselves; numba-only tests importorskip.
+Backend handling: the suite runs against the C backend when a system C
+compiler is available.  Tests that need a *specific* backend setting pin it
+with ``REPRO_COMPILED_BACKEND`` and reset the module cache around
+themselves.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def pinned_backend(monkeypatch):
 
 requires_backend = pytest.mark.skipif(
     compiled.available_backend() is None,
-    reason="no compiled backend (numba or a C compiler) available",
+    reason="no compiled backend (system C compiler) available",
 )
 
 
@@ -79,92 +79,112 @@ requires_backend = pytest.mark.skipif(
 # --------------------------------------------------------------------------
 
 
-def build_engines(points, flipped=None, leaf_size=4):
-    engines = []
-    for _ in range(2):
-        buffer = VertexBuffer()
-        flips = flipped or [False] * len(points)
-        for slot, ((x, y, z), flip) in enumerate(zip(points, flips)):
-            buffer.write_key_triangle(slot, float(x), float(y), float(z), flipped=flip)
-        scene = TriangleScene.from_vertex_buffer(buffer)
-        engines.append(TraversalEngine(build_bvh(scene, BvhBuildConfig(max_leaf_size=leaf_size))))
-    return engines
+def scalar_locate(representation, keys):
+    """Per-key scalar oracle: bucket ids, node visits, summed stats and the
+    number of rays fired along each axis."""
+    pipeline = representation.pipeline
+    axis_rays = [0, 0, 0]
+    cast = pipeline.cast_axis_closest
+
+    def counting_cast(axis, *args, **kwargs):
+        axis_rays[axis] += 1
+        return cast(axis, *args, **kwargs)
+
+    pipeline.cast_axis_closest = counting_cast
+    try:
+        total = RayStats()
+        buckets, nodes, used_axes = [], [], []
+        for key in keys:
+            before = list(axis_rays)
+            local = RayStats()
+            buckets.append(representation.locate_bucket(int(key), local))
+            nodes.append(local.nodes_visited)
+            used_axes.append({a for a in range(3) if axis_rays[a] > before[a]})
+            total.merge(local)
+    finally:
+        del pipeline.cast_axis_closest
+    return np.array(buckets), np.array(nodes), total, used_axes
+
+
+def fused_locate(representation, keys):
+    stats = RayStats()
+    representation.pipeline.batch_engine = "compiled"
+    try:
+        buckets, nodes = representation.locate_bucket_batch(keys, stats)
+    finally:
+        representation.pipeline.batch_engine = "vector"
+    return buckets, nodes, stats
 
 
 @requires_backend
 @pytest.mark.parametrize("axis", [0, 1, 2])
-def test_megakernel_axis_closest_matches_scalar(axis, rng):
-    points = [tuple(point) for point in rng.integers(0, 25, size=(150, 3))]
-    flips = list(rng.random(len(points)) < 0.3)
-    scalar_engine, batch_engine = build_engines(points, flips)
-    origins = rng.integers(0, 25, size=(96, 3)).astype(np.float64)
-    origins[:, axis] -= 0.5
-    tmax = np.where(rng.random(96) < 0.5, np.inf, rng.uniform(0.0, 30.0, 96))
-
-    scalar_stats = RayStats()
-    hits = []
-    for origin, limit in zip(origins, tmax):
-        local = RayStats()
-        hits.append(scalar_engine.trace_axis_closest(axis, tuple(origin), float(limit), stats=local))
-        scalar_stats.merge(local)
-    batch_stats = RayStats()
-    batch = batch_engine.trace_axis_closest_batch(
-        axis, origins, tmax, stats=batch_stats, engine="compiled"
-    )
-
-    assert dataclasses.asdict(scalar_stats) == dataclasses.asdict(batch_stats)
-    for position, record in enumerate(hits):
-        assert bool(record) == bool(batch.hit[position])
-        if record:
-            assert record.primitive_index == batch.primitive_index[position]
-            assert record.t == batch.t[position]
-            assert record.front_face == bool(batch.front_face[position])
-            assert np.array_equal(record.point, batch.point[position])
+def test_megakernel_axis_closest_matches_scalar(axis):
+    """Per ray axis: keys whose scalar ray sequence fires a ray along ``axis``
+    get identical buckets, node visits and counters from the fused call."""
+    for representation, seed in (("naive", 3), ("optimized", 4)):
+        # A few populated planes holding sparse rows: uniform probes then
+        # miss their row (y discovery ray) or their whole plane (z ray).
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 1 << 23, 768, dtype=np.uint64)
+        y = rng.integers(0, 1 << 23, 768, dtype=np.uint64)
+        z = rng.choice(np.arange(0, 64, dtype=np.uint64), 768) & np.uint64(0x36)
+        keys = np.unique(x | (y << np.uint64(23)) | (z << np.uint64(46)))
+        index = CgRXIndex(
+            keys,
+            np.arange(keys.size, dtype=np.uint32),
+            CgRXConfig(key_bits=64, bucket_size=4, representation=representation),
+        )
+        uniform = rng.integers(0, int(keys.max()), 192, dtype=np.uint64)
+        probes = np.concatenate([keys[::7], keys[::5] + np.uint64(1), uniform])
+        rep = index.representation
+        _, _, _, used_axes = scalar_locate(rep, probes)
+        along = probes[[axis in used for used in used_axes]]
+        assert along.size >= 8, "the probe set must exercise this ray axis"
+        buckets, nodes, stats, _ = scalar_locate(rep, along)
+        fused_buckets, fused_nodes, fused_stats = fused_locate(rep, along)
+        np.testing.assert_array_equal(buckets, fused_buckets)
+        np.testing.assert_array_equal(nodes, fused_nodes)
+        assert_stats_identical(stats, fused_stats)
 
 
 @requires_backend
-def test_megakernel_empty_scene_falls_back_cleanly():
+def test_megakernel_empty_scene_falls_back_cleanly(monkeypatch):
+    """The fused call refuses trees it cannot serve: an empty scene quietly,
+    an over-deep tree (here: a 1-slot stack) with a recorded fallback; the
+    index then answers on the vector engine, identically."""
     engine = TraversalEngine(build_bvh(TriangleScene.from_triangles([])))
     stats = RayStats()
-    batch = engine.trace_axis_closest_batch(0, np.zeros((3, 3)), stats=stats, engine="compiled")
-    assert not batch.hit.any()
-    assert stats.misses == 3 and stats.rays_cast == 3
+    assert engine.locate_buckets_batch(None, np.zeros(3, np.uint64), stats) is None
+    assert stats == RayStats() and engine.stats == RayStats()
 
-
-def test_python_backend_kernels_match_scalar(pinned_backend, rng):
-    """The un-jitted reference kernels themselves implement the oracle logic."""
-    pin = pinned_backend
-    pin("python")
-    assert compiled.available_backend() == "python"
-    points = [tuple(point) for point in rng.integers(0, 20, size=(60, 3))]
-    scalar_engine, batch_engine = build_engines(points, leaf_size=3)
-    origins = rng.integers(0, 20, size=(32, 3)).astype(np.float64)
-    origins[:, 1] -= 0.5
-    tmax = np.full(32, np.inf)
-
-    scalar_stats = RayStats()
-    hits = []
-    for origin in origins:
-        local = RayStats()
-        hits.append(scalar_engine.trace_axis_closest(1, tuple(origin), stats=local))
-        scalar_stats.merge(local)
-    batch_stats = RayStats()
-    batch = batch_engine.trace_axis_closest_batch(
-        1, origins, tmax, stats=batch_stats, engine="compiled"
+    keyset = generate_keys(512, uniformity=0.5, key_bits=32, seed=5)
+    lookups = hit_miss_lookups(keyset, 128, miss_fraction=0.3, seed=6)
+    vector = CgRXIndex(keyset.keys, keyset.row_ids, CgRXConfig(key_bits=32, engine="vector"))
+    monkeypatch.setattr(compiled, "MAX_STACK", 1)
+    monkeypatch.setattr(compiled, "last_fallback_reason", None)
+    degraded = CgRXIndex(
+        keyset.keys, keyset.row_ids, CgRXConfig(key_bits=32, engine="compiled")
     )
-    assert dataclasses.asdict(scalar_stats) == dataclasses.asdict(batch_stats)
-    for position, record in enumerate(hits):
-        assert bool(record) == bool(batch.hit[position])
-        if record:
-            assert record.t == batch.t[position]
+    assert_point_identical(
+        vector.point_lookup_batch(lookups), degraded.point_lookup_batch(lookups)
+    )
+    assert compiled.last_fallback_reason == "tables_unusable"
 
 
-def test_numba_backend_resolves_when_installed(pinned_backend):
-    pytest.importorskip("numba")
-    pinned_backend("numba")
-    assert compiled.available_backend() == "numba"
-    kernels = compiled.backend_kernels()
-    assert kernels is not None and len(kernels) == 2
+@requires_backend
+def test_cc_backend_kernels_match_scalar(pinned_backend):
+    """The pinned C backend's locate and chain-walk kernels implement the
+    scalar oracle: cgRXu point lookups run both."""
+    pinned_backend("cc")
+    assert compiled.available_backend() == "cc"
+    keyset = generate_keys(1536, uniformity=0.6, key_bits=64, seed=11)
+    lookups = hit_miss_lookups(
+        keyset, 512, miss_fraction=0.3, out_of_range_fraction=0.3, seed=12
+    )
+    scalar = CgRXuIndex(keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=64, engine="scalar"))
+    comp = CgRXuIndex(keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=64, engine="compiled"))
+    assert_point_identical(scalar.point_lookup_batch(lookups), comp.point_lookup_batch(lookups))
+    assert_stats_identical(scalar.pipeline.lifetime_stats, comp.pipeline.lifetime_stats)
 
 
 # --------------------------------------------------------------------------
@@ -428,6 +448,17 @@ def test_compiled_arena_reported_in_serve_footprint():
 # --------------------------------------------------------------------------
 # RayBatch fast path of the wavefront tracer
 # --------------------------------------------------------------------------
+
+
+def build_engines(points, leaf_size=4):
+    engines = []
+    for _ in range(2):
+        buffer = VertexBuffer()
+        for slot, (x, y, z) in enumerate(points):
+            buffer.write_key_triangle(slot, float(x), float(y), float(z))
+        scene = TriangleScene.from_vertex_buffer(buffer)
+        engines.append(TraversalEngine(build_bvh(scene, BvhBuildConfig(max_leaf_size=leaf_size))))
+    return engines
 
 
 def test_ray_batch_matches_ray_objects(rng):
