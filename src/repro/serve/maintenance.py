@@ -216,12 +216,10 @@ def resync_replicas(worker: "MaintenanceWorker", task: MaintenanceTask) -> Optio
     Idempotent: a shard whose replicas are all healthy (or that is not
     replicated at all) completes as a no-op.
     """
-    shard = worker.router.shards[task.shard_id]
-    group = shard.index
-    recovering = getattr(group, "recovering_replicas", None)
-    if not callable(recovering):
+    group = worker.router.group(task.shard_id)
+    if group is None:
         return None
-    replicas = recovering()
+    replicas = group.recovering_replicas()
     if not replicas:
         return None
     parts = []
@@ -267,9 +265,8 @@ def checkpoint_shard(worker: "MaintenanceWorker", task: MaintenanceTask) -> Opti
         return None
     if worker.store.wal_backlog(task.shard_id) < worker.policy.checkpoint_wal_records:
         return None
-    shard = worker.router.shards[task.shard_id]
-    keys, row_ids, lsn, epoch = worker.store.shard_durable_state(shard)
-    worker.store.checkpoint(task.shard_id, keys, row_ids, lsn, epoch)
+    state = worker.router.durable_state(task.shard_id)
+    worker.store.checkpoint(task.shard_id, *state)
     worker.checkpoints_performed += 1
     # Host/storage-side work only: a zero-launch kernel marks the task done.
     return KernelStats(name=f"serve.checkpoint_shard_{task.shard_id}", launches=0)
@@ -373,8 +370,8 @@ class MaintenanceWorker:
                 task = self.queue.enqueue("compact_shard", shard.shard_id, now_ms)
                 if task is not None:
                     enqueued.append(task)
-            recovering = getattr(shard.index, "recovering_replicas", None)
-            if callable(recovering) and recovering():
+            group = self.router.group(shard.shard_id)
+            if group is not None and group.recovering_replicas():
                 task = self.queue.enqueue("resync_replicas", shard.shard_id, now_ms)
                 if task is not None:
                     enqueued.append(task)
@@ -441,21 +438,17 @@ class MaintenanceWorker:
                     if (
                         task.name == "rebuild_shard"
                         and self.policy.rebuild_mode == "stop_the_world"
-                        and not self._shard_is_replicated(task.shard_id)
+                        and not self.router.replicated
                     ):
                         # The shard had no index for the duration of the
                         # build: that is a real outage, unlike the
-                        # double-buffered swap.
+                        # double-buffered swap (or a replica group's rolling
+                        # rebuild).
                         self.metrics.record_unavailability(*window)
             task.status = "done" if task.work is not None else "skipped"
             task.completed_at_ms = float(now_ms)
             executed.append(task)
         return executed
-
-    def _shard_is_replicated(self, shard_id: int) -> bool:
-        """Replica groups rebuild rolling, so they never go offline."""
-        index = self.router.shards[int(shard_id)].index
-        return callable(getattr(index, "recovering_replicas", None))
 
     def run_cycle(self, now_ms: float = 0.0) -> List[MaintenanceTask]:
         """One background iteration: scan, then drain the queue."""

@@ -28,11 +28,12 @@ authoritative entry arrays.
   and leave at runtime; the read policies rebalance automatically because
   they only ever consider the current membership.
 
-A :class:`ReplicaGroup` deliberately implements the slice of the
-:class:`~repro.baselines.base.GpuIndex` surface the serving layer consumes
-(lookups, updates, ``export_entries``, footprint, degradation), so
-:class:`ReplicatedShardRouter` can drop it into the existing scatter/gather
-machinery unchanged.
+A :class:`ReplicaGroup` sits in its shard's ``index`` slot for writes and
+maintenance (updates, ``export_entries``, footprint, degradation), but does
+not pose as an index for reads: its reads return a
+:class:`~repro.serve.router.ShardRead` that carries each read's own failover
+overhead, slowdown and hedge outcome, and :class:`ReplicatedShardRouter`
+routes the scatter/gather reads to them.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from repro.gpu.device import RTX_4090, GpuDevice
 from repro.gpu.kernels import KernelStats, combine
 from repro.gpu.memory import MemoryFootprint
 from repro.obs.trace import NULL_TRACER
-from repro.serve.router import ShardFactory, ShardRouter, apply_update_to_entries
+from repro.serve.router import ShardFactory, ShardRead, ShardRouter, apply_update_to_entries
 from repro.workloads.keygen import KeySet
 
 # Replica health states.
@@ -174,9 +175,11 @@ class Replica:
 
 
 class ReplicaGroup:
-    """A shard's replica set behind the ``GpuIndex`` call surface.
+    """A shard's replica set: balanced, failing-over reads and quorum writes.
 
-    The group owns the shard's authoritative ``(keys, row_ids)`` arrays (kept
+    Reads (:meth:`read_point`, :meth:`read_range`) return a
+    :class:`~repro.serve.router.ShardRead` and leave nothing behind on the
+    group.  The group owns the shard's authoritative ``(keys, row_ids)`` arrays (kept
     in live-index tie-order via ``export_entries`` after native updates, the
     same discipline the shard router uses) plus the apply log.  Invariant:
     every replica in the ``HEALTHY`` state has applied every logged update,
@@ -232,23 +235,10 @@ class ReplicaGroup:
         self.unavailability_windows: List[Tuple[float, float]] = []
         self._unavailable_since: Optional[float] = None
         self._rr_cursor = 0
-        #: Host-side overhead and slowdown of the most recent read call,
-        #: consumed by :meth:`lookup_time_ms`.
-        self.last_overhead_ms = 0.0
-        self.last_slow_factor = 1.0
-        #: Effective service time of the last read when a hedge raced it
-        #: (first answer wins); ``None`` keeps the kernel-time formula.
-        self.last_read_ms: Optional[float] = None
-        #: Whether the last read was abandoned as an explicit partial result
-        #: (reliability layer armed; the answer is a deterministic miss the
-        #: serving layer masks out of oracle byte-checks).
-        self.last_read_unavailable = False
         #: Deployment-wide reliability machinery
         #: (:class:`repro.serve.reliability.ReliabilityState`); ``None``
         #: keeps the PR-2 failover semantics.
         self.reliability = None
-        self._read_start_ms: Optional[float] = None
-        self._read_deadline_ms: Optional[float] = None
 
         self.replicas: List[Replica] = []
         self._next_replica_id = 0
@@ -516,35 +506,23 @@ class ReplicaGroup:
         self.clock.advance(now + self.config.restart_penalty_ms)
         self.resync(replica)  # closes the unavailability window
         self._bump("emergency_restarts")
-        self.last_overhead_ms += self.config.restart_penalty_ms
         if self.metrics is not None:
             self.metrics.record_failover(self.config.restart_penalty_ms)
         return replica
 
-    def begin_read(self, start_ms: float, deadline_ms: Optional[float] = None) -> None:
-        """Arm the next read with its dispatch time and absolute deadline.
-
-        The serving layer calls this just before the batch's group read so
-        the failover loop can abandon retries and restarts that cannot fit
-        the remaining deadline budget.  Consumed (and cleared) by the next
-        :meth:`_serve_read`; reads without an armed budget are unbounded in
-        time (the classic behaviour).
-        """
-        self._read_start_ms = float(start_ms)
-        self._read_deadline_ms = None if deadline_ms is None else float(deadline_ms)
-
-    def _force_restart(self, traced: bool, tracer, base_ms: float) -> None:
+    def _force_restart(self, traced: bool, tracer, at_ms: float) -> float:
         """Every available replica keeps erroring: declare the lowest-id one
         wedged and restart its process (resync clears injected fault state),
-        keeping the never-fail read contract with *bounded* work."""
+        keeping the never-fail read contract with *bounded* work.  Returns
+        the restart time charged to the read (0.0 when nothing restarted)."""
         available = self.available_replicas()
         if not available:
-            return  # nothing to restart; the emergency path handles this case
+            return 0.0  # nothing to restart; the emergency path handles this case
         replica = min(available, key=lambda r: r.replica_id)
         if traced:
             tracer.record_span(
                 "replica.restart",
-                base_ms + self.last_overhead_ms,
+                at_ms,
                 self.config.restart_penalty_ms,
                 category="replication",
                 lane=f"shard-{self.shard_id}",
@@ -556,37 +534,13 @@ class ReplicaGroup:
         replica.state = RECOVERING  # force the resync past its no-op fast path
         self.resync(replica)
         self._bump("forced_restarts")
-        self.last_overhead_ms += self.config.restart_penalty_ms
         if self.metrics is not None:
             self.metrics.record_failover(self.config.restart_penalty_ms)
+        return self.config.restart_penalty_ms
 
-    def _give_up(self, reason: str, fallback, traced: bool, tracer, base_ms: float):
-        """Abandon the read as an explicit partial result (reliability mode).
-
-        The caller sees a deterministic miss-shaped answer plus
-        ``last_read_unavailable``; the serving layer masks these requests out
-        of oracle byte-checks exactly like shed ones.
-        """
-        self.last_read_unavailable = True
-        self._bump("read_unavailable")
-        self._bump(f"read_unavailable_{reason}")
-        if self.metrics is not None:
-            self.metrics.bump("reads_unavailable")
-        if self.reliability is not None:
-            self.reliability.bump("read_unavailable")
-        if traced:
-            tracer.record_span(
-                "replica.unavailable",
-                base_ms + self.last_overhead_ms,
-                0.0,
-                category="replication",
-                lane=f"shard-{self.shard_id}",
-                shard=self.shard_id,
-                reason=reason,
-            )
-        return fallback()
-
-    def _serve_read(self, call, num_requests: int, fallback=None):
+    def _serve_read(
+        self, call, num_requests: int, fallback, start_ms=None, deadline_ms=None
+    ) -> ShardRead:
         """Pick a replica, failing over past transient errors, and call it.
 
         When a tracer is armed, every attempt emits a span on the simulated
@@ -601,25 +555,20 @@ class ReplicaGroup:
         With the reliability layer armed (:attr:`reliability`), the loop is
         additionally governed by per-shard retry budgets with backed-off,
         jittered retries, per-replica circuit breakers filtering the
-        candidate set, a deadline budget armed via :meth:`begin_read`, and
-        online-quantile read hedging; reads that cannot be served within
-        those bounds return an explicit unavailable answer via ``fallback``.
+        candidate set, the absolute ``deadline_ms`` of a read dispatched at
+        ``start_ms``, and online-quantile read hedging; reads that cannot be
+        served within those bounds return ``fallback()``'s miss-shaped
+        answer as an ``unavailable`` read.
         Without it, the only change from the classic semantics is that
         all-replicas-erroring rounds are *bounded*
         (``ReplicationConfig.max_failover_rounds``) by a forced restart
         instead of spinning until the error supply drains.
         """
-        self.last_overhead_ms = 0.0
-        self.last_slow_factor = 1.0
-        self.last_read_ms = None
-        self.last_read_unavailable = False
-        start_ms = self._read_start_ms
-        deadline_ms = self._read_deadline_ms
-        self._read_start_ms = None
-        self._read_deadline_ms = None
+        if self.keys.size == 0:  # an emptied group answers without a replica
+            return ShardRead(fallback(), self.cost_model)
         rel = self.reliability
         rel_config = rel.config if rel is not None else None
-        partial = rel is not None and rel_config.partial_results and fallback is not None
+        partial = rel is not None and rel_config.partial_results
         breakers = rel is not None and rel_config.breaker_enabled
         tracer = self.tracer
         traced = tracer.enabled
@@ -630,11 +579,38 @@ class ReplicaGroup:
         if start_ms is None:
             start_ms = base_ms if traced else self.clock.now_ms
         now_ms = self.clock.now_ms
+        # Host-side time this read paid before its answer: failover
+        # penalties, retry backoff and restarts.
+        overhead_ms = 0.0
 
         def out_of_time(extra_ms: float) -> bool:
             return (
                 deadline_ms is not None
-                and start_ms + self.last_overhead_ms + extra_ms > deadline_ms
+                and start_ms + overhead_ms + extra_ms > deadline_ms
+            )
+
+        def give_up(reason: str) -> ShardRead:
+            # Abandon the read as an explicit partial result: a deterministic
+            # miss-shaped answer the serving layer masks out of oracle
+            # byte-checks exactly like shed requests.
+            self._bump("read_unavailable")
+            self._bump(f"read_unavailable_{reason}")
+            if self.metrics is not None:
+                self.metrics.bump("reads_unavailable")
+            if rel is not None:
+                rel.bump("read_unavailable")
+            if traced:
+                tracer.record_span(
+                    "replica.unavailable",
+                    base_ms + overhead_ms,
+                    0.0,
+                    category="replication",
+                    lane=f"shard-{self.shard_id}",
+                    shard=self.shard_id,
+                    reason=reason,
+                )
+            return ShardRead(
+                fallback(), self.cost_model, overhead_ms=overhead_ms, unavailable=True
             )
 
         tried: List[int] = []
@@ -661,32 +637,29 @@ class ReplicaGroup:
                     rounds += 1
                     if rounds >= self.config.max_failover_rounds:
                         if partial:
-                            return self._give_up(
-                                "rounds", fallback, traced, tracer, base_ms
-                            )
+                            return give_up("rounds")
                         self._bump("read_unavailable")
-                        self._force_restart(traced, tracer, base_ms)
+                        overhead_ms += self._force_restart(
+                            traced, tracer, base_ms + overhead_ms
+                        )
                     tried = []
                     continue
                 # No replica is available at all.
                 if partial and not rel_config.allow_emergency_restart:
-                    return self._give_up(
-                        "no_replicas", fallback, traced, tracer, base_ms
-                    )
+                    return give_up("no_replicas")
                 if partial and out_of_time(self.config.restart_penalty_ms):
-                    return self._give_up(
-                        "deadline", fallback, traced, tracer, base_ms
-                    )
+                    return give_up("deadline")
                 if traced:
                     tracer.record_span(
                         "replica.restart",
-                        base_ms + self.last_overhead_ms,
+                        base_ms + overhead_ms,
                         self.config.restart_penalty_ms,
                         category="replication",
                         lane=f"shard-{self.shard_id}",
                         shard=self.shard_id,
                     )
                 replica = self._emergency_restart()
+                overhead_ms += self.config.restart_penalty_ms
             else:
                 replica = self._choose(candidates)
             if replica.pending_transient > 0:
@@ -697,7 +670,7 @@ class ReplicaGroup:
                 if traced:
                     tracer.record_span(
                         "replica.attempt",
-                        base_ms + self.last_overhead_ms,
+                        base_ms + overhead_ms,
                         self.config.failover_penalty_ms,
                         category="replication",
                         lane=f"shard-{self.shard_id}",
@@ -705,7 +678,7 @@ class ReplicaGroup:
                         replica=replica.replica_id,
                         outcome="transient_error",
                     )
-                self.last_overhead_ms += self.config.failover_penalty_ms
+                overhead_ms += self.config.failover_penalty_ms
                 if self.metrics is not None:
                     self.metrics.record_failover(self.config.failover_penalty_ms)
                 if breakers:
@@ -716,25 +689,21 @@ class ReplicaGroup:
                     retries += 1
                     if rel.budget(self.shard_id).take(now_ms):
                         rel.bump("retries")
-                        self.last_overhead_ms += rel.backoff_ms(self.shard_id, retries)
+                        overhead_ms += rel.backoff_ms(self.shard_id, retries)
                     else:
                         rel.bump("retry_budget_exhausted")
                         if self.metrics is not None:
                             self.metrics.bump("retry_budget_exhausted")
                         if partial:
-                            return self._give_up(
-                                "retry_budget", fallback, traced, tracer, base_ms
-                            )
+                            return give_up("retry_budget")
                     if partial and out_of_time(self.config.failover_penalty_ms):
-                        return self._give_up(
-                            "deadline", fallback, traced, tracer, base_ms
-                        )
+                        return give_up("deadline")
                 continue
             result = call(replica.index)
-            self.last_slow_factor = replica.slow_factor
             kernel_ms = self.cost_model.kernel_time_ms(result.stats)
             service_ms = kernel_ms * replica.slow_factor
             effective_ms = service_ms
+            hedged_ms = None
             hedge_replica = None
             if rel is not None:
                 threshold = rel.hedge_threshold_ms()
@@ -767,7 +736,7 @@ class ReplicaGroup:
                     if traced:
                         tracer.record_span(
                             "replica.hedge",
-                            base_ms + self.last_overhead_ms + threshold,
+                            base_ms + overhead_ms + threshold,
                             hedge_service_ms,
                             category="replication",
                             lane=f"shard-{self.shard_id}",
@@ -777,7 +746,7 @@ class ReplicaGroup:
                             won=hedge_won,
                             batch_size=num_requests,
                         )
-                    self.last_read_ms = effective_ms
+                    hedged_ms = effective_ms
                 rel.observe_read(effective_ms)
                 if breakers:
                     rel.breaker(self.shard_id, replica.replica_id).record(
@@ -793,7 +762,7 @@ class ReplicaGroup:
             if traced:
                 read_span = tracer.record_span(
                     "replica.read",
-                    base_ms + self.last_overhead_ms,
+                    base_ms + overhead_ms,
                     service_ms,
                     category="replication",
                     lane=f"shard-{self.shard_id}",
@@ -804,7 +773,7 @@ class ReplicaGroup:
                 )
                 tracer.record_span(
                     "engine.lookup",
-                    base_ms + self.last_overhead_ms,
+                    base_ms + overhead_ms,
                     kernel_ms,
                     category="device",
                     lane=f"shard-{self.shard_id}",
@@ -814,7 +783,9 @@ class ReplicaGroup:
                     engine=getattr(replica.index, "engine", None)
                     or getattr(getattr(replica.index, "config", None), "engine", None),
                 )
-            return result
+            return ShardRead(
+                result, self.cost_model, replica.slow_factor, overhead_ms, hedged_ms
+            )
 
     def _choose_hedge(self, primary: Replica, tried: List[int], now_ms: float):
         """Second healthy replica for a hedged read (least-loaded; breakers
@@ -836,20 +807,10 @@ class ReplicaGroup:
             return None
         return min(peers, key=lambda r: (r.busy_ms * r.slow_factor, r.replica_id))
 
-    def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
+    def read_point(self, keys: np.ndarray, start_ms=None, deadline_ms=None) -> ShardRead:
+        """Point-read through the failover loop; an absolute ``deadline_ms``
+        bounds it (reliability layer armed), else it is unbounded in time."""
         keys = np.asarray(keys, dtype=self._key_dtype)
-        if self.keys.size == 0:
-            self.last_overhead_ms = 0.0
-            self.last_slow_factor = 1.0
-            self.last_read_ms = None
-            self.last_read_unavailable = False
-            self._read_start_ms = None
-            self._read_deadline_ms = None
-            return LookupResult(
-                row_ids=np.full(keys.shape[0], -1, dtype=np.int64),
-                match_counts=np.zeros(keys.shape[0], dtype=np.int64),
-                stats=KernelStats(name="serve.replica_point_lookup", launches=0),
-            )
 
         def miss() -> LookupResult:
             return LookupResult(
@@ -861,23 +822,15 @@ class ReplicaGroup:
         return self._serve_read(
             lambda index: index.point_lookup_batch(keys),
             int(keys.shape[0]),
-            fallback=miss,
+            miss,
+            start_ms,
+            deadline_ms,
         )
 
-    def range_lookup_batch(self, lows: np.ndarray, highs: np.ndarray) -> RangeLookupResult:
+    def read_range(self, lows: np.ndarray, highs: np.ndarray) -> ShardRead:
+        """Range-read the group through the failover loop (never deadline-bound)."""
         lows = np.asarray(lows, dtype=self._key_dtype)
         highs = np.asarray(highs, dtype=self._key_dtype)
-        if self.keys.size == 0:
-            self.last_overhead_ms = 0.0
-            self.last_slow_factor = 1.0
-            self.last_read_ms = None
-            self.last_read_unavailable = False
-            self._read_start_ms = None
-            self._read_deadline_ms = None
-            return RangeLookupResult(
-                row_ids=[np.empty(0, dtype=np.uint32) for _ in range(lows.shape[0])],
-                stats=KernelStats(name="serve.replica_range_lookup", launches=0),
-            )
 
         def empty() -> RangeLookupResult:
             return RangeLookupResult(
@@ -886,21 +839,7 @@ class ReplicaGroup:
             )
 
         return self._serve_read(
-            lambda index: index.range_lookup_batch(lows, highs),
-            int(lows.shape[0]),
-            fallback=empty,
-        )
-
-    def lookup_time_ms(self, result) -> float:
-        """Simulated time of the last read: device time of the replica that
-        served it (scaled by its slow factor) plus failover overhead.  When a
-        hedge raced the primary, the effective (first-answer-wins) service
-        time recorded by the failover loop wins over the formula."""
-        if self.last_read_ms is not None:
-            return self.last_read_ms + self.last_overhead_ms
-        return (
-            self.cost_model.kernel_time_ms(result.stats) * self.last_slow_factor
-            + self.last_overhead_ms
+            lambda index: index.range_lookup_batch(lows, highs), int(lows.shape[0]), empty
         )
 
     # ----------------------------------------------------------------- writes
@@ -1066,16 +1005,21 @@ class ReplicaGroup:
         if self.store is not None:
             # The reload bumped the LSN without a WAL record; checkpointing
             # here keeps the durable state exactly at the group LSN.
-            epoch = next(
-                (
-                    int(getattr(replica.index, "epoch", 0))
-                    for replica in self.available_replicas()
-                ),
-                0,
-            )
-            self.store.checkpoint(self.shard_id, self.keys, self.row_ids, self.lsn, epoch)
+            self.store.checkpoint(self.shard_id, *self.durable_state())
         self._bump("reloads")
         return parts
+
+    def durable_state(self) -> Tuple[np.ndarray, np.ndarray, int, int]:
+        """``(keys, row_ids, lsn, epoch)`` for checkpointing: the group's own
+        LSN, and the epoch of the first available replica's index."""
+        epoch = next(
+            (
+                int(getattr(replica.index, "epoch", 0))
+                for replica in self.available_replicas()
+            ),
+            0,
+        )
+        return self.keys, self.row_ids, self.lsn, epoch
 
     # ------------------------------------------------------------- index-like
 
@@ -1145,9 +1089,12 @@ class ReplicatedShardRouter(ShardRouter):
     """A shard router whose shards are replica groups instead of bare indexes.
 
     Scatter/gather, update routing and the authoritative-array discipline are
-    inherited unchanged — the group plugs into the ``shard.index`` slot and
-    handles balancing, fan-out and failover internally.
+    inherited — the group plugs into the ``shard.index`` slot and handles
+    balancing, fan-out and failover internally, and reports to the router's
+    sinks; shard reads go to the group's reads.
     """
+
+    replicated = True
 
     def __init__(
         self,
@@ -1164,7 +1111,6 @@ class ReplicatedShardRouter(ShardRouter):
     ) -> None:
         self.replication = replication or ReplicationConfig()
         self.clock = clock or SimulatedClock()
-        self.groups: Dict[int, ReplicaGroup] = {}
         super().__init__(
             keys,
             row_ids,
@@ -1193,8 +1139,15 @@ class ReplicatedShardRouter(ShardRouter):
                 device=self.device,
                 key_bits=self.key_bits,
             )
+            self._bind_group(group)
             self.groups[shard.shard_id] = group
             stats = list(group.build_stats)
+            if self.store is not None:
+                # A group built after the store was attached (its shard was
+                # empty until now) starts its own LSN sequence: rebase the
+                # shard's durable state on it, so its WAL records replay on
+                # top of its initial entries.
+                self.store.rebase_shard(shard.shard_id, *group.durable_state())
         else:
             # Rebuild request (maintenance healing): reload the existing group
             # in place so replica membership and failure state survive.
@@ -1202,6 +1155,23 @@ class ReplicatedShardRouter(ShardRouter):
         shard.index = group
         shard.builds += 1
         return stats
+
+    def _bind_group(self, group: ReplicaGroup) -> None:
+        group.store = self.store
+        group.metrics = self.metrics
+        group.tracer = self.tracer
+        group.reliability = self.reliability
+
+    def bind_sinks(self, **sinks) -> None:
+        super().bind_sinks(**sinks)
+        for group in self.groups.values():
+            self._bind_group(group)
+
+    def read_point(self, shard_id, keys, start_ms=None, deadline_ms=None) -> ShardRead:
+        return self.shards[shard_id].index.read_point(keys, start_ms, deadline_ms)
+
+    def read_range(self, shard_id, lows, highs) -> ShardRead:
+        return self.shards[shard_id].index.read_range(lows, highs)
 
     # --------------------------------------------------------------- lifecycle
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from repro.baselines.base import (
     delete_one_per_key,
 )
 from repro.core.config import validate_engine
+from repro.gpu.cost_model import CostModel
 from repro.gpu.device import RTX_4090, GpuDevice
 from repro.gpu.kernels import KernelStats, combine
 from repro.obs.trace import NULL_TRACER
@@ -40,6 +41,9 @@ from repro.serve.partition import (
     routing_keys,
 )
 from repro.workloads.keygen import KeySet
+
+if TYPE_CHECKING:
+    from repro.serve.replication import ReplicaGroup
 
 #: Factory building one shard's index from its keyset (harness signature).
 ShardFactory = Callable[[KeySet, GpuDevice], GpuIndex]
@@ -73,6 +77,41 @@ def apply_update_to_entries(
     return keys, row_ids, removed
 
 
+@dataclass
+class ShardRead:
+    """One shard read's answer plus what its simulated time is made of.
+
+    A plain shard's read keeps the defaults; a replica group's read fills in
+    the serving replica's slowdown, its failover overhead and, when a hedge
+    raced it, the first-answer-wins time.
+    """
+
+    #: The shard's answer (a :class:`LookupResult` or :class:`RangeLookupResult`).
+    result: Union[LookupResult, RangeLookupResult]
+    #: Cost model of the device that answered.
+    cost_model: CostModel
+    #: Execution-time multiplier of the replica that answered.
+    slow_factor: float = 1.0
+    #: Host-side failover, retry-backoff and restart time the read paid.
+    overhead_ms: float = 0.0
+    #: Effective service time when a hedge raced the primary; ``None``
+    #: keeps the kernel-time formula.
+    hedged_ms: Optional[float] = None
+    #: Abandoned as an explicit partial result: ``result`` is a deterministic
+    #: miss the serving layer masks out of oracle byte-checks.
+    unavailable: bool = False
+
+    @property
+    def time_ms(self) -> float:
+        """Simulated time of the read, overhead included (computed on demand:
+        the untraced scatter never needs it).  For a plain shard this is
+        exactly ``index.lookup_time_ms(result)``."""
+        if self.hedged_ms is not None:
+            return self.hedged_ms + self.overhead_ms
+        return (
+            self.cost_model.kernel_time_ms(self.result.stats) * self.slow_factor
+            + self.overhead_ms
+        )
 
 
 @dataclass
@@ -130,6 +169,10 @@ class _Shard:
 class ShardRouter:
     """Range- or hash-partitioned deployment of one index type."""
 
+    #: Whether shards are replica groups: the one answer the serving stack
+    #: consults for "is this deployment replicated?".
+    replicated = False
+
     def __init__(
         self,
         keys: np.ndarray,
@@ -152,6 +195,16 @@ class ShardRouter:
         self._key_max = int(np.iinfo(self._key_dtype).max)
         self.device = device
         self.factory = factory
+        #: Deployment sinks (:meth:`bind_sinks`).  The durable tier WAL-logs
+        #: every acknowledged write batch before it returns (plain shards via
+        #: the router, replica groups themselves); only groups report to the
+        #: metrics registry and reliability state.
+        self.tracer = NULL_TRACER
+        self.store = None
+        self.metrics = None
+        self.reliability = None
+        #: Replica groups by shard id; empty on a plain router.
+        self.groups: Dict[int, "ReplicaGroup"] = {}
 
         keys = np.asarray(keys, dtype=self._key_dtype)
         row_ids = np.asarray(row_ids, dtype=np.uint32)
@@ -172,19 +225,8 @@ class ShardRouter:
             self._build_shard(shard)
             self.shards.append(shard)
 
-        #: Span sink; the deployment points this at its tracer (the shared
-        #: disabled tracer by default, so emission sites cost one flag check).
-        self.tracer = NULL_TRACER
-        #: Durable tier; when attached, every acknowledged write batch of a
-        #: plain (unreplicated) shard is WAL-logged here before it returns.
-        #: Replica groups carry their own store reference and log themselves.
-        self.store = None
         #: Per-shard breakdown of the most recent scattered call.
         self.last_calls: List[ShardCall] = []
-        #: Shards whose read came back as an explicit partial result on the
-        #: most recent scattered call (reliability layer armed; their gather
-        #: positions carry deterministic miss answers).
-        self.last_unavailable_shards: List[int] = []
         #: Largest deployment footprint observed during a rebuild — for
         #: double-buffered rebuilds this includes the window in which both
         #: shard generations were resident.
@@ -200,6 +242,33 @@ class ShardRouter:
     @property
     def num_shards(self) -> int:
         return self.partitioner.num_shards
+
+    def bind_sinks(self, **sinks) -> None:
+        """Point deployment sinks (``store``, ``metrics``, ``tracer``,
+        ``reliability``) at new objects."""
+        for name, sink in sinks.items():
+            if name not in ("store", "metrics", "tracer", "reliability"):
+                raise TypeError(f"unknown deployment sink {name!r}")
+            setattr(self, name, sink)
+
+    def group(self, shard_id: int) -> Optional["ReplicaGroup"]:
+        """The replica group serving ``shard_id`` (``None`` on a plain router
+        and for an empty replicated shard, which has no live group)."""
+        return self.shards[int(shard_id)].index if self.replicated else None
+
+    def durable_state(self, shard_id: int) -> Tuple[np.ndarray, np.ndarray, int, int]:
+        """A shard's ``(keys, row_ids, lsn, epoch)`` for checkpointing.
+
+        Replica groups carry their own LSN; a plain shard's LSN is its
+        version (bumped once per authoritative mutation), and its epoch comes
+        from the index's snapshot lifecycle when it has one.
+        """
+        group = self.group(shard_id)
+        if group is not None:
+            return group.durable_state()
+        shard = self.shards[int(shard_id)]
+        epoch = int(getattr(shard.index, "epoch", 0))
+        return shard.keys, shard.row_ids, int(shard.version), epoch
 
     def shard_sizes(self) -> np.ndarray:
         """Authoritative entry count per shard (drives the skew metric)."""
@@ -611,6 +680,54 @@ class ShardRouter:
 
     # ---------------------------------------------------------------- lookups
 
+    def read_point(self, shard_id: int, keys, start_ms=None, deadline_ms=None) -> ShardRead:
+        """Point-read one non-empty shard (``start_ms``/``deadline_ms`` bound a
+        replica group's failover; a plain shard cannot fail over)."""
+        index = self.shards[shard_id].index
+        return ShardRead(index.point_lookup_batch(keys), index.cost_model)
+
+    def read_range(self, shard_id: int, lows, highs) -> ShardRead:
+        """Range-read one non-empty shard."""
+        index = self.shards[shard_id].index
+        return ShardRead(index.range_lookup_batch(lows, highs), index.cost_model)
+
+    def _push_scatter_span(self, batch_size: int, **attributes):
+        """Open a scattered call's ``router.scatter`` span (``None`` untraced)."""
+        tracer = self.tracer
+        if not tracer.enabled:
+            return None
+        return tracer.push_span(
+            "router.scatter",
+            tracer.clock.now_ms if tracer.clock is not None else 0.0,
+            category="router",
+            lane="router",
+            batch_size=batch_size,
+            engine=self.engine,
+            partitioner=self.partitioner.kind,
+            **attributes,
+        )
+
+    def _gather(self, scatter_span, shard_id: int, batch_size: int, read, parts) -> None:
+        """Account one shard's read of a scattered call: its kernel stats, its
+        :class:`ShardCall` and, traced, its ``router.shard_call`` span.  Shards
+        answer concurrently, so the scatter span covers the slowest read."""
+        stats = read.result.stats
+        parts.append(stats)
+        self.last_calls.append(ShardCall(shard_id, batch_size, stats))
+        if scatter_span is not None:
+            shard_ms = read.time_ms
+            scatter_span.duration_ms = max(scatter_span.duration_ms, shard_ms)
+            self.tracer.record_span(
+                "router.shard_call",
+                scatter_span.start_ms,
+                shard_ms,
+                category="router",
+                lane=f"shard-{shard_id}",
+                parent=scatter_span,
+                shard=shard_id,
+                batch_size=batch_size,
+            )
+
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:
         """Scatter a point-lookup batch, answer per shard, gather in order.
 
@@ -631,21 +748,7 @@ class ShardRouter:
         counts = np.zeros(num, dtype=np.int64)
         parts: List[KernelStats] = [self._routing_stats(num)]
         self.last_calls = []
-        self.last_unavailable_shards = []
-
-        tracer = self.tracer
-        scatter_span = None
-        if tracer.enabled:
-            now_ms = tracer.clock.now_ms if tracer.clock is not None else 0.0
-            scatter_span = tracer.push_span(
-                "router.scatter",
-                now_ms,
-                category="router",
-                lane="router",
-                batch_size=num,
-                engine=self.engine,
-                partitioner=self.partitioner.kind,
-            )
+        scatter_span = self._push_scatter_span(num)
         try:
             if num:
                 shard_ids = self.partitioner.shard_of(keys)
@@ -653,42 +756,17 @@ class ShardRouter:
                     # Out-of-domain keys keep the (-1, 0) miss answer and are
                     # never scattered.
                     shard_ids[outside] = -1
-                for shard_id in np.unique(shard_ids):
-                    if shard_id < 0:
+                for shard_id in np.unique(shard_ids).tolist():
+                    if shard_id < 0 or self.shards[shard_id].index is None:
                         continue
                     member = np.where(shard_ids == shard_id)[0]
-                    shard = self.shards[int(shard_id)]
-                    if shard.index is None:
-                        continue
-                    result = shard.index.point_lookup_batch(keys[member])
-                    row_agg[member] = result.row_ids
-                    counts[member] = result.match_counts
-                    parts.append(result.stats)
-                    self.last_calls.append(
-                        ShardCall(int(shard_id), int(member.shape[0]), result.stats)
-                    )
-                    if getattr(shard.index, "last_read_unavailable", False):
-                        self.last_unavailable_shards.append(int(shard_id))
-                    if scatter_span is not None:
-                        # Shards answer concurrently: the scatter/gather span
-                        # covers the slowest shard call of the batch.
-                        shard_ms = shard.index.lookup_time_ms(result)
-                        scatter_span.duration_ms = max(
-                            scatter_span.duration_ms, shard_ms
-                        )
-                        tracer.record_span(
-                            "router.shard_call",
-                            scatter_span.start_ms,
-                            shard_ms,
-                            category="router",
-                            lane=f"shard-{int(shard_id)}",
-                            parent=scatter_span,
-                            shard=int(shard_id),
-                            batch_size=int(member.shape[0]),
-                        )
+                    read = self.read_point(shard_id, keys[member])
+                    row_agg[member] = read.result.row_ids
+                    counts[member] = read.result.match_counts
+                    self._gather(scatter_span, shard_id, int(member.shape[0]), read, parts)
         finally:
             if scatter_span is not None:
-                tracer.pop()
+                self.tracer.pop()
         stats = combine("serve.point_lookup", parts)
         return LookupResult(row_ids=row_agg, match_counts=counts, stats=stats)
 
@@ -712,7 +790,6 @@ class ShardRouter:
         num = int(lows.shape[0])
         parts: List[KernelStats] = [self._routing_stats(num)]
         self.last_calls = []
-        self.last_unavailable_shards = []
 
         # Scatter: shard -> positions of the queries that touch it.  The
         # vector engine computes every query's shard span in two vectorized
@@ -738,51 +815,22 @@ class ShardRouter:
                 for shard_id in self.partitioner.shards_for_range(int(lows_raw[position]), int(highs_raw[position])):
                     per_shard.setdefault(int(shard_id), []).append(position)
 
-        tracer = self.tracer
-        scatter_span = None
-        if tracer.enabled:
-            now_ms = tracer.clock.now_ms if tracer.clock is not None else 0.0
-            scatter_span = tracer.push_span(
-                "router.scatter",
-                now_ms,
-                category="router",
-                lane="router",
-                batch_size=num,
-                engine=self.engine,
-                partitioner=self.partitioner.kind,
-                kind="range",
-            )
+        scatter_span = self._push_scatter_span(num, kind="range")
         collected: List[List[np.ndarray]] = [[] for _ in range(num)]
         try:
             for shard_id in sorted(per_shard):
-                shard = self.shards[shard_id]
-                if shard.index is None:
+                if self.shards[shard_id].index is None:
                     continue
                 positions = per_shard[shard_id]
-                result = shard.index.range_lookup_batch(lows[positions], highs[positions])
+                read = self.read_range(shard_id, lows[positions], highs[positions])
+                row_ids = read.result.row_ids
                 for offset, position in enumerate(positions):
-                    if result.row_ids[offset].shape[0]:
-                        collected[position].append(result.row_ids[offset])
-                parts.append(result.stats)
-                self.last_calls.append(ShardCall(shard_id, len(positions), result.stats))
-                if getattr(shard.index, "last_read_unavailable", False):
-                    self.last_unavailable_shards.append(int(shard_id))
-                if scatter_span is not None:
-                    shard_ms = shard.index.lookup_time_ms(result)
-                    scatter_span.duration_ms = max(scatter_span.duration_ms, shard_ms)
-                    tracer.record_span(
-                        "router.shard_call",
-                        scatter_span.start_ms,
-                        shard_ms,
-                        category="router",
-                        lane=f"shard-{shard_id}",
-                        parent=scatter_span,
-                        shard=shard_id,
-                        batch_size=len(positions),
-                    )
+                    if row_ids[offset].shape[0]:
+                        collected[position].append(row_ids[offset])
+                self._gather(scatter_span, shard_id, len(positions), read, parts)
         finally:
             if scatter_span is not None:
-                tracer.pop()
+                self.tracer.pop()
 
         row_ids = [
             np.concatenate(pieces) if pieces else np.empty(0, dtype=np.uint32)
@@ -877,10 +925,10 @@ class ShardRouter:
                 parts.append(self.rebuild_shard(int(shard_id)))
                 any_rebuilt = True
 
-            if self.store is not None and getattr(shard.index, "store", None) is None:
+            if self.store is not None and not self.replicated:
                 # Plain shards have no replication log; the shard version
                 # (bumped exactly once above) is their LSN.  Replica groups
-                # WAL-logged this batch themselves before acknowledging.
+                # WAL-log their batches themselves before acknowledging.
                 self.store.log_batch(
                     int(shard_id),
                     shard.version,

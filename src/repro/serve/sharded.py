@@ -59,19 +59,29 @@ from repro.workloads.requests import RequestStream
 _CHUNK_REQUESTS = 512
 
 
-def _stream_requests(stream: RequestStream, keys: np.ndarray):
+def _stream_requests(stream: RequestStream, keys: np.ndarray, key_max: int):
     """``(request_id, arrival_ms, key)`` of every request as Python scalars,
-    converted one chunk at a time instead of one numpy element at a time."""
+    converted one chunk at a time instead of one numpy element at a time.
+
+    Keys above ``key_max`` come out as ``-1``: like negative keys they lie
+    outside the deployment's keyspace, and the serving loop answers every
+    negative key host-side, so the per-request test stays one comparison.
+    """
     if keys.dtype.kind not in "iu":
         yield from stream
         return
     arrivals = np.asarray(stream.arrival_ms, dtype=np.float64)
     count = len(stream)
+    can_exceed = np.iinfo(keys.dtype).max > key_max
     for start in range(0, count, _CHUNK_REQUESTS):
         stop = min(start + _CHUNK_REQUESTS, count)
-        yield from zip(
-            range(start, stop), arrivals[start:stop].tolist(), keys[start:stop].tolist()
-        )
+        chunk = keys[start:stop]
+        if can_exceed:
+            above = chunk > key_max
+            if above.any():
+                # Wrapped values of the masked positions are overwritten.
+                chunk = np.where(above, -1, chunk.astype(np.int64))
+        yield from zip(range(start, stop), arrivals[start:stop].tolist(), chunk.tolist())
 
 
 class _RequestLog:
@@ -300,39 +310,30 @@ class ShardedIndex(GpuIndex):
 
         #: Simulated clock driving failure injection and replica recovery.
         self.clock = SimulatedClock()
+        router_args = dict(
+            factory=factory or _default_factory,
+            num_shards=self.config.num_shards,
+            partitioner=self.config.partitioner,
+            key_bits=self.config.key_bits,
+            device=device,
+            engine=self.config.engine,
+        )
         if self.config.replication_factor > 1:
             self.router: ShardRouter = ReplicatedShardRouter(
                 keys,
                 row_ids,
-                factory=factory or _default_factory,
-                num_shards=self.config.num_shards,
-                partitioner=self.config.partitioner,
-                key_bits=self.config.key_bits,
-                device=device,
-                engine=self.config.engine,
                 replication=self.config.replication(),
                 clock=self.clock,
+                **router_args,
             )
         else:
-            self.router = ShardRouter(
-                keys,
-                row_ids,
-                factory=factory or _default_factory,
-                num_shards=self.config.num_shards,
-                partitioner=self.config.partitioner,
-                key_bits=self.config.key_bits,
-                device=device,
-                engine=self.config.engine,
-            )
+            self.router = ShardRouter(keys, row_ids, **router_args)
         #: Tail-tolerance machinery shared by every replica group (``None``
         #: when :attr:`ServeConfig.reliability` is unset): retry budgets,
         #: hedging quantiles, circuit breakers and their counters.
         self.reliability: Optional[ReliabilityState] = None
         if self.config.reliability is not None:
             self.reliability = ReliabilityState(self.config.reliability, self.clock)
-            if isinstance(self.router, ReplicatedShardRouter):
-                for group in self.router.groups.values():
-                    group.reliability = self.reliability
         #: Failure-schedule replayer (armed by :meth:`inject_failures`).
         self.failures: Optional[FailureInjector] = None
         #: Per-tenant admission control (None = serve everything).
@@ -378,7 +379,6 @@ class ShardedIndex(GpuIndex):
         #: Request tracer on the simulated clock (spans only when armed via
         #: ``ServeConfig.tracing`` or by flipping ``tracer.enabled``).
         self.tracer = Tracer(clock=self.clock, enabled=self.config.tracing)
-        self.router.tracer = self.tracer
         #: Cumulative telemetry over every served stream (serve_stream default).
         self.metrics = MetricsRegistry(num_shards=self.config.num_shards)
         if self.config.telemetry_sample_interval_ms > 0.0:
@@ -459,11 +459,8 @@ class ShardedIndex(GpuIndex):
         store.clock = self.clock
         store.key_bits = self.config.key_bits
         self.store = store
-        self.router.store = store
+        self.router.bind_sinks(store=store)
         self.maintenance.store = store
-        if isinstance(self.router, ReplicatedShardRouter):
-            for group in self.router.groups.values():
-                group.store = store
         store.checkpoint_deployment(self.router)
         return store
 
@@ -616,7 +613,7 @@ class ShardedIndex(GpuIndex):
         The events replay on the simulated clock as requests arrive; only
         replicated deployments (``replication_factor > 1``) can be armed.
         """
-        if not isinstance(self.router, ReplicatedShardRouter):
+        if not self.router.replicated:
             raise ValueError(
                 "failure injection needs a replicated deployment "
                 "(ServeConfig.replication_factor > 1)"
@@ -630,10 +627,14 @@ class ShardedIndex(GpuIndex):
         return self.failures
 
     def _bind_group_metrics(self, metrics: MetricsRegistry) -> None:
-        """Point the replica groups' and the maintenance worker's telemetry
-        at the active registry, so a stream served into a caller-provided
-        registry gets the failover, availability and maintenance-window
-        records too (not just request latency)."""
+        """Point the router's (and so the replica groups') and the
+        maintenance worker's telemetry at the active registry, so a stream
+        served into a caller-provided registry gets the failover,
+        availability and maintenance-window records too (not just request
+        latency)."""
+        self.router.bind_sinks(
+            metrics=metrics, tracer=self.tracer, reliability=self.reliability
+        )
         self.maintenance.metrics = metrics
         self.maintenance.tracer = self.tracer
         if self.store is not None:
@@ -641,11 +642,6 @@ class ShardedIndex(GpuIndex):
             self.store.tracer = self.tracer
         if self.failures is not None:
             self.failures.telemetry = metrics.telemetry
-        if isinstance(self.router, ReplicatedShardRouter):
-            for group in self.router.groups.values():
-                group.metrics = metrics
-                group.tracer = self.tracer
-                group.reliability = self.reliability
 
     def _poll_failures(self, now_ms: float) -> None:
         """Advance the clock; apply due failure transitions; heal off-path."""
@@ -659,9 +655,7 @@ class ShardedIndex(GpuIndex):
 
     def replication_snapshot(self) -> Optional[dict]:
         """Replica/availability report (None for unreplicated deployments)."""
-        if isinstance(self.router, ReplicatedShardRouter):
-            return self.router.replication_snapshot()
-        return None
+        return self.router.replication_snapshot() if self.router.replicated else None
 
     # ----------------------------------------------------------------- memory
 
@@ -787,23 +781,29 @@ class ShardedIndex(GpuIndex):
         cache = self.cache
         cache_latency = self.config.cache_latency_ms
         sampling = bool(telemetry.sample_interval_ms)
-        cache_hits = cache_negative_hits = cache_misses = negative_key_misses = 0
+        cache_hits = cache_negative_hits = cache_misses = 0
+        negative_key_misses = out_of_domain_key_misses = 0
 
         def flush() -> None:
-            nonlocal cache_hits, cache_negative_hits, cache_misses, negative_key_misses
+            nonlocal cache_hits, cache_negative_hits, cache_misses
+            nonlocal negative_key_misses, out_of_domain_key_misses
             log.flush(metrics, client_ids)
             for event, count in (
                 ("cache_hits", cache_hits),
                 ("cache_negative_hits", cache_negative_hits),
                 ("cache_misses", cache_misses),
                 ("negative_key_misses", negative_key_misses),
+                ("out_of_domain_key_misses", out_of_domain_key_misses),
             ):
                 if count:
                     metrics.bump(event, count)
-            cache_hits = cache_negative_hits = cache_misses = negative_key_misses = 0
+            cache_hits = cache_negative_hits = cache_misses = 0
+            negative_key_misses = out_of_domain_key_misses = 0
 
         last_arrival = 0.0
-        for request_id, arrival_ms, key in _stream_requests(stream, raw_keys):
+        for request_id, arrival_ms, key in _stream_requests(
+            stream, raw_keys, self._key_max
+        ):
             last_arrival = arrival_ms
             if len(log.request_ids) >= _CHUNK_REQUESTS:
                 flush()
@@ -851,13 +851,18 @@ class ShardedIndex(GpuIndex):
                         shed_mask[request_id] = True
                     continue
             if key < 0:
-                # Signed keys below the unsigned keyspace are definitional
-                # misses, answered host-side at cache latency; they never
-                # enter a batch (batch keys are unsigned).
+                # Keys outside the keyspace (signed keys below it, and keys
+                # above it, which arrive as -1) are definitional misses,
+                # answered host-side at cache latency; they never enter a
+                # batch, whose cast to the key dtype would wrap them onto
+                # stored keys.
                 log.append(
                     cache_latency, arrival_ms, arrival_ms + cache_latency, request_id, tenant
                 )
-                negative_key_misses += 1
+                if raw_keys[request_id] < 0:
+                    negative_key_misses += 1
+                else:
+                    out_of_domain_key_misses += 1
                 continue
             if cache is not None:
                 entry = cache.get(key, tenant=tenant if tenant >= 0 else None)
@@ -948,11 +953,10 @@ class ShardedIndex(GpuIndex):
             self.cache.publish_telemetry(telemetry)
         if telemetry.sample_interval_ms:
             telemetry.sample(self.clock.now_ms)
-        if isinstance(self.router, ReplicatedShardRouter):
-            # Outages still in progress count against this stream's
-            # availability up to the point serving stopped.
-            for group in self.router.groups.values():
-                group.flush_unavailability(self.clock.now_ms)
+        # Outages still in progress count against this stream's
+        # availability up to the point serving stopped.
+        for group in self.router.groups.values():
+            group.flush_unavailability(self.clock.now_ms)
         # The caller's registry was only bound for this stream; maintenance
         # and group telemetry afterwards report to the deployment's own again.
         self._bind_group_metrics(self.metrics)
@@ -1033,7 +1037,12 @@ class ShardedIndex(GpuIndex):
                 batch.dispatch_ms,
                 self._device_busy_until.get(batch.shard_id, 0.0),
             )
-            if rel is not None and hasattr(shard.index, "begin_read"):
+            if shard.index is None:
+                row_agg = np.full(batch.size, -1, dtype=np.int64)
+                counts = np.zeros(batch.size, dtype=np.int64)
+                exec_ms = overhead_ms = 0.0
+                unavailable = False
+            else:
                 # The batch's deadline is the laxest of its riders': requests
                 # coalesce, so the read is only abandoned once *every* rider
                 # is past its budget.
@@ -1042,41 +1051,33 @@ class ShardedIndex(GpuIndex):
                     if deadline_cfg > 0
                     else None
                 )
-                shard.index.begin_read(exec_start, deadline_abs)
-            if shard.index is None:
-                row_agg = np.full(batch.size, -1, dtype=np.int64)
-                counts = np.zeros(batch.size, dtype=np.int64)
-                exec_ms = 0.0
-            elif tracer.enabled:
                 # The batch span is the propagation context: replica reads
                 # and engine kernels recorded below it become its children.
-                batch_span = tracer.push_span(
-                    "batch.execute",
-                    exec_start,
-                    category="router",
-                    lane=f"shard-{batch.shard_id}",
-                    shard=batch.shard_id,
-                    batch_size=batch.size,
-                    reason=batch.reason,
-                    engine=self.config.engine,
-                    epoch=getattr(shard.index, "epoch", None),
-                )
+                batch_span = None
+                if tracer.enabled:
+                    batch_span = tracer.push_span(
+                        "batch.execute",
+                        exec_start,
+                        category="router",
+                        lane=f"shard-{batch.shard_id}",
+                        shard=batch.shard_id,
+                        batch_size=batch.size,
+                        reason=batch.reason,
+                        engine=self.config.engine,
+                        epoch=getattr(shard.index, "epoch", None),
+                    )
                 try:
-                    result = shard.index.point_lookup_batch(batch_keys)
+                    read = self.router.read_point(
+                        batch.shard_id, batch_keys, exec_start, deadline_abs
+                    )
                 finally:
-                    tracer.pop()
-                row_agg = result.row_ids
-                counts = result.match_counts
-                exec_ms = shard.index.lookup_time_ms(result)
-                batch_span.duration_ms = exec_ms
-            else:
-                result = shard.index.point_lookup_batch(batch_keys)
-                row_agg = result.row_ids
-                counts = result.match_counts
-                exec_ms = shard.index.lookup_time_ms(result)
-            unavailable = bool(
-                getattr(shard.index, "last_read_unavailable", False)
-            )
+                    if batch_span is not None:
+                        tracer.pop()
+                row_agg, counts = read.result.row_ids, read.result.match_counts
+                exec_ms, overhead_ms = read.time_ms, read.overhead_ms
+                unavailable = read.unavailable
+                if batch_span is not None:
+                    batch_span.duration_ms = exec_ms
             stale = False
             if unavailable:
                 metrics.bump("requests_unavailable", batch.size)
@@ -1103,11 +1104,6 @@ class ShardedIndex(GpuIndex):
                     self._unavailable_sink[batch.request_ids] = True
                 if stale:
                     self._stale_sink[batch.request_ids] = True
-            overhead_ms = (
-                float(getattr(shard.index, "last_overhead_ms", 0.0))
-                if shard.index is not None
-                else 0.0
-            )
             device_ms = exec_ms - overhead_ms
             tenant_labels = batch.tenant_ids
             arrivals = batch.arrival_ms

@@ -304,28 +304,27 @@ class DeploymentStore:
 
     # ------------------------------------------------------------- deployment
 
-    @staticmethod
-    def shard_durable_state(shard) -> Tuple[np.ndarray, np.ndarray, int, int]:
-        """A router shard's ``(keys, row_ids, lsn, epoch)`` for checkpointing.
+    def _drop_shard(self, shard_id: int) -> None:
+        """Delete a shard's whole namespace: checkpoints and WAL."""
+        for name in self.backend.list(f"{self.shard_prefix(shard_id)}/"):
+            self.backend.delete(name)
+        self._wals.pop(shard_id, None)
+        self._checkpoints.pop(shard_id, None)
+        self._backlog.pop(shard_id, None)
 
-        Replica groups carry their own LSN; plain shards use the shard
-        version (bumped once per authoritative mutation) as theirs.  The
-        epoch comes from the index's snapshot lifecycle when it has one.
+    def rebase_shard(self, shard_id: int, keys, row_ids, lsn: int, epoch: int = 0) -> int:
+        """Replace a shard's durable state with one checkpoint at ``lsn``.
+
+        The checkpoint captures the shard wholesale and its LSN sequence may
+        restart (fresh shard objects count from zero), so prior generations
+        and WAL records are dropped outright — the caller quiesced writes,
+        nothing is racing.
         """
-        index = shard.index
-        if index is not None and hasattr(index, "replicas"):  # replica group
-            epoch = next(
-                (
-                    int(getattr(replica.index, "epoch", 0))
-                    for replica in index.available_replicas()
-                ),
-                0,
-            )
-            return index.keys, index.row_ids, int(index.lsn), epoch
-        return shard.keys, shard.row_ids, int(shard.version), int(getattr(index, "epoch", 0))
+        self._drop_shard(shard_id)
+        return self.checkpoint(shard_id, keys, row_ids, lsn, epoch)
 
     def checkpoint_deployment(self, router) -> int:
-        """Checkpoint every shard at its current LSN and rewrite the manifest.
+        """Rebase every shard at its current LSN and rewrite the manifest.
 
         Used on attach, after a cold start, and after topology changes
         (splits/merges renumber shards, so every namespace is rebased).
@@ -333,23 +332,11 @@ class DeploymentStore:
         """
         total = 0
         for shard in router.shards:
-            keys, row_ids, lsn, epoch = self.shard_durable_state(shard)
-            # Rebase semantics: this checkpoint captures the shard wholesale
-            # and its LSN sequence may restart (fresh shard objects count
-            # from zero), so prior generations and WAL records are dropped
-            # outright — the caller quiesced writes, nothing is racing.
-            for name in self.backend.list(f"{self.shard_prefix(shard.shard_id)}/"):
-                self.backend.delete(name)
-            self._wals.pop(shard.shard_id, None)
-            self._checkpoints.pop(shard.shard_id, None)
-            self._backlog.pop(shard.shard_id, None)
-            total += self.checkpoint(shard.shard_id, keys, row_ids, lsn, epoch)
+            total += self.rebase_shard(
+                shard.shard_id, *router.durable_state(shard.shard_id)
+            )
         for stale_id in self._stale_shard_ids(router.num_shards):
-            for name in self.backend.list(f"{self.shard_prefix(stale_id)}/"):
-                self.backend.delete(name)
-            self._wals.pop(stale_id, None)
-            self._checkpoints.pop(stale_id, None)
-            self._backlog.pop(stale_id, None)
+            self._drop_shard(stale_id)
         self.write_manifest(router.num_shards, self.key_bits, router.partitioner.kind)
         return total
 

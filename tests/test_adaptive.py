@@ -33,6 +33,7 @@ from repro.workloads.adversarial import (
     shifting_hotspot_stream,
 )
 from repro.workloads.keygen import generate_keys
+from repro.workloads.requests import RequestStream
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +189,40 @@ def test_32bit_deployment_keys_above_keyspace_do_not_wrap(
     # In-domain answers (cached or not) are unchanged by the wide batches.
     in_domain = index.point_lookup_batch(np.array([150, 199, 99], dtype=np.uint32))
     np.testing.assert_array_equal(in_domain.row_ids, [50, 99, -1])
+
+
+def _stream_of(keys: np.ndarray) -> RequestStream:
+    return RequestStream(
+        arrival_ms=np.arange(keys.shape[0], dtype=np.float64) * 0.25,
+        keys=keys,
+        client_ids=np.zeros(keys.shape[0], dtype=np.int64),
+    )
+
+
+@pytest.mark.parametrize("cache_capacity", [0, 64])
+@pytest.mark.parametrize("key_dtype", [np.uint64, np.int64])
+def test_32bit_serve_stream_keys_above_keyspace_do_not_wrap(cache_capacity, key_dtype):
+    """serve_stream answers keys above a 32-bit deployment's keyspace as
+    host-side misses instead of casting them onto stored keys."""
+
+    def deployment():
+        return ShardedIndex(
+            np.arange(100, 200, dtype=np.uint32),
+            config=ServeConfig(key_bits=32, num_shards=2, cache_capacity=cache_capacity),
+        )
+
+    index = deployment()
+    top = 2**32
+    keys = np.array([top + 150, 150, top + 150, top - 1, 2**40 + 199, 199], dtype=key_dtype)
+    snapshot = index.serve_stream(_stream_of(keys), record_answers=True).snapshot()
+    row_agg, counts = index.last_answers
+    np.testing.assert_array_equal(row_agg, [-1, 50, -1, -1, -1, 99])
+    np.testing.assert_array_equal(counts, [0, 1, 0, 0, 0, 1])
+    assert snapshot["out_of_domain_key_misses"] == 3
+    assert "negative_key_misses" not in snapshot
+    # In-domain streams report no such counter at all.
+    in_domain = _stream_of(np.array([150, 99, 199, 150], dtype=key_dtype))
+    assert "out_of_domain_key_misses" not in deployment().serve_stream(in_domain).snapshot()
 
 
 # --------------------------------------------------------------------------

@@ -42,13 +42,11 @@ def entries(arrays) -> tuple:
 
 def deployment_entries(served) -> tuple:
     # Replica groups hold the authoritative arrays; plain shards keep them
-    # on the router shard (mirrors DeploymentStore.shard_durable_state).
-    def arrays(shard):
-        if shard.index is not None and hasattr(shard.index, "replicas"):
-            return shard.index.keys, shard.index.row_ids
-        return shard.keys, shard.row_ids
-
-    parts = [arrays(shard) for shard in served.router.shards]
+    # on the router shard.  The router's durable state names the right ones.
+    parts = [
+        served.router.durable_state(shard.shard_id)[:2]
+        for shard in served.router.shards
+    ]
     keys = np.concatenate([part[0] for part in parts])
     rows = np.concatenate([part[1] for part in parts])
     return entries((keys, rows))
@@ -356,8 +354,8 @@ def test_process_kill_weather_spares_the_spare():
 # --------------------------------------------------------------------------
 
 
-def durable_deployment(keyset, store_dir, **overrides):
-    config = ServeConfig(
+def durable_config(store_dir, **overrides) -> ServeConfig:
+    return ServeConfig(
         **{
             "num_shards": 3,
             "partitioner": "range",
@@ -371,8 +369,14 @@ def durable_deployment(keyset, store_dir, **overrides):
             **overrides,
         }
     )
+
+
+def durable_deployment(keyset, store_dir, **overrides):
     return ShardedIndex(
-        keyset.keys, keyset.row_ids, factory=cgrxu_factory(128), config=config
+        keyset.keys,
+        keyset.row_ids,
+        factory=cgrxu_factory(128),
+        config=durable_config(store_dir, **overrides),
     )
 
 
@@ -440,6 +444,48 @@ def test_process_killed_replica_restores_from_durable_store(keyset, tmp_path):
     for group in served.router.groups.values():
         assert group.replicas[1].index is not None
     assert deployment_entries(served) == entries(expected)
+
+
+def test_group_built_after_attach_logs_and_restores_durably(keyset, tmp_path):
+    """A shard that was empty at build gets its replica group only when its
+    first keys arrive, after the store is attached.  That group must log to
+    the store itself, and its replicas must restore from disk, like every
+    other group's."""
+    from repro.serve.partition import make_partitioner
+
+    on_shard_3 = make_partitioner("hash", keyset.keys, 4).shard_of(keyset.keys) == 3
+    served = ShardedIndex(
+        keyset.keys[~on_shard_3],
+        keyset.row_ids[~on_shard_3],
+        factory=cgrxu_factory(128),
+        config=durable_config(
+            tmp_path, num_shards=4, partitioner="hash", store_fsync=False
+        ),
+    )
+    assert served.router.group(3) is None
+    late_keys = keyset.keys[on_shard_3]
+    late_rows = keyset.row_ids[on_shard_3]
+    half = late_keys.shape[0] // 2
+    served.update_batch(insert_keys=late_keys[:half], insert_row_ids=late_rows[:half])
+    group = served.router.group(3)
+    assert group is not None and group.store is served.store
+    served.update_batch(insert_keys=late_keys[half:], insert_row_ids=late_rows[half:])
+    served.update_batch(delete_keys=late_keys[:4])
+
+    now = served.clock.now_ms
+    for shard_group in served.router.groups.values():
+        shard_group.process_kill(0, now)
+        shard_group.end_outage(0, now)
+    served.maintenance.run_cycle(now)
+    for shard_group in served.router.groups.values():
+        assert shard_group.counters.get("resyncs_durable", 0) == 1
+        assert "resyncs_snapshot" not in shard_group.counters
+    restored = group.replica(0).index.export_entries()
+    assert entries(restored) == entries((group.keys, group.row_ids))
+
+    store = DeploymentStore(LocalDirBackend(str(tmp_path)), key_bits=32)
+    recovered = ShardedIndex.cold_start(store, factory=cgrxu_factory(128))
+    assert deployment_entries(recovered) == deployment_entries(served)
 
 
 def test_cold_start_recovers_byte_identical_state(keyset, tmp_path):

@@ -180,7 +180,7 @@ def test_breaker_filters_read_candidates(keyset):
     rel = group.reliability
     rel.breaker(0, 0).trip(group.clock.now_ms)
     for _ in range(4):
-        group.point_lookup_batch(keyset.keys[:8])
+        group.read_point(keyset.keys[:8])
     assert group.replicas[0].reads_served == 0
     assert group.replicas[1].reads_served == 4 * 8
     assert group.counters["breaker_skips"] >= 4
@@ -192,10 +192,10 @@ def test_breaker_fail_open_when_every_breaker_is_open(keyset):
     now = group.clock.now_ms
     rel.breaker(0, 0).trip(now)
     rel.breaker(0, 1).trip(now)
-    result = group.point_lookup_batch(keyset.keys[:8])
-    assert result.match_counts.sum() > 0  # served despite both breakers
+    read = group.read_point(keyset.keys[:8])
+    assert read.result.match_counts.sum() > 0  # served despite both breakers
     assert group.counters["breaker_fail_open"] >= 1
-    assert not group.last_read_unavailable
+    assert not read.unavailable
 
 
 def test_transient_errors_trip_the_replica_breaker(keyset):
@@ -207,7 +207,7 @@ def test_transient_errors_trip_the_replica_breaker(keyset):
     )
     group.inject_transient(0, 10)
     for _ in range(4):
-        group.point_lookup_batch(keyset.keys[:8])
+        group.read_point(keyset.keys[:8])
     assert group.reliability.breaker(0, 0).opens >= 1
     # While the breaker holds replica 0 out, its error supply stays put.
     assert group.replicas[0].pending_transient > 0
@@ -225,7 +225,7 @@ def test_all_replicas_erroring_read_is_bounded(keyset):
     group = make_group(keyset, max_failover_rounds=4)
     group.inject_transient(0, 10_000)
     group.inject_transient(1, 10_000)
-    result = group.point_lookup_batch(keyset.keys[:8])
+    result = group.read_point(keyset.keys[:8]).result
     assert result.match_counts.sum() > 0  # the read still answers
     assert group.counters["forced_restarts"] >= 1
     assert group.counters["failovers"] <= 4 * 2 + 2
@@ -236,7 +236,7 @@ def test_forced_restart_clears_the_wedged_replica(keyset):
     group = make_group(keyset, max_failover_rounds=2)
     group.inject_transient(0, 1_000)
     group.inject_transient(1, 1_000)
-    group.point_lookup_batch(keyset.keys[:8])
+    group.read_point(keyset.keys[:8])
     # The restarted (lowest-id available) replica came back clean.
     assert group.replicas[0].pending_transient == 0
 
@@ -253,10 +253,10 @@ def test_retry_budget_exhaustion_returns_explicit_unavailable(keyset):
     )
     group.inject_transient(0, 100)
     group.inject_transient(1, 100)
-    result = group.point_lookup_batch(keyset.keys[:8])
-    assert group.last_read_unavailable
-    assert np.all(result.row_ids == -1)
-    assert np.all(result.match_counts == 0)
+    read = group.read_point(keyset.keys[:8])
+    assert read.unavailable
+    assert np.all(read.result.row_ids == -1)
+    assert np.all(read.result.match_counts == 0)
     assert group.reliability.counters["retry_budget_exhausted"] >= 1
     assert group.counters["read_unavailable_retry_budget"] == 1
 
@@ -266,33 +266,38 @@ def test_retries_spend_budget_and_pay_backoff(keyset):
     group = make_group(keyset, reliability=config)
     group.inject_transient(0, 1)
     group.inject_transient(1, 1)
-    result = group.point_lookup_batch(keyset.keys[:8])
-    assert result.match_counts.sum() > 0
+    read = group.read_point(keyset.keys[:8])
+    assert read.result.match_counts.sum() > 0
     assert group.reliability.counters["retries"] == 2
     # Overhead = 2 failover penalties + 0.2 + 0.4 backoff.
-    assert group.last_overhead_ms == pytest.approx(2 * 0.05 + 0.2 + 0.4)
+    assert read.overhead_ms == pytest.approx(2 * 0.05 + 0.2 + 0.4)
 
 
 def test_deadline_abandons_retries_past_the_budget(keyset):
     group = make_group(keyset, reliability=ReliabilityConfig(deadline_ms=5.0))
     group.inject_transient(0, 50)
     group.inject_transient(1, 50)
-    group.begin_read(start_ms=0.0, deadline_ms=0.01)
-    result = group.point_lookup_batch(keyset.keys[:8])
-    assert group.last_read_unavailable
-    assert np.all(result.row_ids == -1)
+    read = group.read_point(keyset.keys[:8], start_ms=0.0, deadline_ms=0.01)
+    assert read.unavailable
+    assert np.all(read.result.row_ids == -1)
     assert group.counters["read_unavailable_deadline"] == 1
-    # The armed deadline is consumed by the read; the next one is unbounded.
-    assert group._read_deadline_ms is None
+    # The deadline bounds that read alone: the next read has none and
+    # retries past the same error supply until it is served.
+    for replica in group.replicas:
+        replica.pending_transient = 1
+    again = group.read_point(keyset.keys[:8])
+    assert not again.unavailable
+    assert again.result.match_counts.sum() > 0
+    assert group.counters["read_unavailable_deadline"] == 1
 
 
 def test_unarmed_reads_keep_classic_semantics(keyset):
     group = make_group(keyset)  # no reliability state
     group.inject_transient(0, 3)
-    result = group.point_lookup_batch(keyset.keys[:8])
-    assert result.match_counts.sum() > 0
-    assert not group.last_read_unavailable
-    assert group.lookup_time_ms(result) > 0.0
+    read = group.read_point(keyset.keys[:8])
+    assert read.result.match_counts.sum() > 0
+    assert not read.unavailable
+    assert read.time_ms > 0.0
 
 
 # --------------------------------------------------------------------------
@@ -312,10 +317,10 @@ def test_hedge_fires_and_wins_against_a_slow_primary(keyset):
     group.set_slow(0, 500.0)
     slow_service = None
     for _ in range(2):  # round robin: one of the two reads lands on replica 0
-        result = group.point_lookup_batch(keyset.keys[:8])
-        if group.last_read_ms is not None:
-            slow_service = group.cost_model.kernel_time_ms(result.stats) * 500.0
-            assert group.lookup_time_ms(result) < slow_service
+        read = group.read_point(keyset.keys[:8])
+        if read.hedged_ms is not None:
+            slow_service = group.cost_model.kernel_time_ms(read.result.stats) * 500.0
+            assert read.time_ms < slow_service
     rel = group.reliability
     assert rel.counters["hedges"] >= 1
     assert rel.counters["hedge_wins"] >= 1
@@ -328,7 +333,7 @@ def test_hedge_loses_when_the_peer_is_slow_too(keyset):
     warm(group.reliability, value_ms=0.01, count=8)
     group.set_slow(0, 50.0)
     group.set_slow(1, 50.0)
-    group.point_lookup_batch(keyset.keys[:8])
+    group.read_point(keyset.keys[:8])
     rel = group.reliability
     assert rel.counters["hedges"] == 1
     assert rel.counters.get("hedge_losses", 0) == 1
@@ -339,7 +344,7 @@ def test_hedge_needs_a_healthy_peer(keyset):
     group = make_group(keyset, replication_factor=1, reliability=hedged_config())
     warm(group.reliability, value_ms=0.01, count=8)
     group.set_slow(0, 500.0)
-    group.point_lookup_batch(keyset.keys[:8])
+    group.read_point(keyset.keys[:8])
     assert "hedges" not in group.reliability.counters
 
 
@@ -351,7 +356,7 @@ def test_hedge_emits_trace_span(keyset):
     warm(group.reliability, value_ms=0.01, count=8)
     group.set_slow(0, 500.0)
     for _ in range(2):
-        group.point_lookup_batch(keyset.keys[:8])
+        group.read_point(keyset.keys[:8])
     names = {span.name for span in group.tracer.spans}
     assert "replica.hedge" in names
     hedge = next(s for s in group.tracer.spans if s.name == "replica.hedge")
@@ -367,7 +372,7 @@ def test_hedge_accounting_flows_into_metrics(keyset):
     warm(group.reliability, value_ms=0.01, count=8)
     group.set_slow(0, 500.0)
     for _ in range(2):
-        group.point_lookup_batch(keyset.keys[:8])
+        group.read_point(keyset.keys[:8])
     snapshot = group.metrics.snapshot()
     assert snapshot.get("hedges", 0) >= 1
     assert snapshot.get("hedge_wins", 0) >= 1

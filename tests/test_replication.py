@@ -55,7 +55,7 @@ def test_round_robin_cycles_replicas(keyset):
     group = make_group(keyset, read_policy="round_robin")
     lookups = keyset.keys[:16]
     for _ in range(6):
-        group.point_lookup_batch(lookups)
+        group.read_point(lookups)
     loads = group.replica_loads()
     assert loads.tolist() == [2 * 16, 2 * 16, 2 * 16]
 
@@ -64,7 +64,7 @@ def test_least_loaded_avoids_the_busy_replica(keyset):
     group = make_group(keyset, read_policy="least_loaded")
     group.replicas[0].busy_ms = 100.0  # pretend replica 0 already did work
     for _ in range(4):
-        group.point_lookup_batch(keyset.keys[:8])
+        group.read_point(keyset.keys[:8])
     assert group.replicas[0].reads_served == 0
     assert group.replicas[1].reads_served > 0 and group.replicas[2].reads_served > 0
 
@@ -72,11 +72,11 @@ def test_least_loaded_avoids_the_busy_replica(keyset):
 def test_least_loaded_penalises_slow_replicas(keyset):
     group = make_group(keyset, read_policy="least_loaded")
     for _ in range(3):  # everyone serves once, accumulating equal busy time
-        group.point_lookup_batch(keyset.keys[:8])
+        group.read_point(keyset.keys[:8])
     group.set_slow(0, 100.0)
     before = group.replicas[0].reads_served
     for _ in range(6):
-        group.point_lookup_batch(keyset.keys[:8])
+        group.read_point(keyset.keys[:8])
     assert group.replicas[0].reads_served == before
 
 
@@ -85,7 +85,7 @@ def test_reads_answer_like_ground_truth_regardless_of_replica(keyset):
     lookups = uniform_lookups(keyset, 64, seed=3)
     agg, counts = ground_truth_point(keyset.keys, keyset.row_ids, lookups)
     for _ in range(3):  # each call hits a different replica
-        result = group.point_lookup_batch(lookups)
+        result = group.read_point(lookups).result
         np.testing.assert_array_equal(result.row_ids, agg)
         np.testing.assert_array_equal(result.match_counts, counts)
 
@@ -94,7 +94,7 @@ def test_range_reads_are_balanced_too(keyset):
     group = make_group(keyset)
     sorted_keys = np.sort(keyset.keys)
     low, high = int(sorted_keys[10]), int(sorted_keys[50])
-    result = group.range_lookup_batch(np.asarray([low]), np.asarray([high]))
+    result = group.read_range(np.asarray([low]), np.asarray([high])).result
     expected = ground_truth_range(keyset.keys, keyset.row_ids, low, high)
     np.testing.assert_array_equal(np.sort(result.row_ids[0]), np.sort(expected))
     assert sum(group.replica_loads()) == 1
@@ -116,7 +116,7 @@ def test_write_fans_out_and_acknowledges_quorum(keyset):
     assert all(replica.applied_lsn == group.lsn for replica in group.replicas)
     # Every replica answers the new key.
     for _ in range(3):
-        result = group.point_lookup_batch(new_key)
+        result = group.read_point(new_key).result
         np.testing.assert_array_equal(result.row_ids, [7])
 
 
@@ -162,7 +162,7 @@ def test_resync_catches_up_and_answers_match(keyset, factory_name):
     assert group.counters[expected_counter] == 1
 
     probe = inserts
-    answers = [group.point_lookup_batch(probe) for _ in range(3)]
+    answers = [group.read_point(probe).result for _ in range(3)]
     for result in answers[1:]:
         np.testing.assert_array_equal(result.row_ids, answers[0].row_ids)
         np.testing.assert_array_equal(result.match_counts, answers[0].match_counts)
@@ -179,7 +179,7 @@ def test_trimmed_log_forces_snapshot_resync(keyset):
     group.resync(group.replica(0), now_ms=2.0)
     assert group.counters.get("resyncs_snapshot", 0) == 1
     assert "resyncs_log_replay" not in group.counters
-    result = group.point_lookup_batch(np.asarray([base, base + 3], dtype=np.uint32))
+    result = group.read_point(np.asarray([base, base + 3], dtype=np.uint32)).result
     assert (result.match_counts == [1, 1]).all()
 
 
@@ -194,7 +194,7 @@ def test_transient_error_fails_over_to_another_replica(keyset):
     lookups = keyset.keys[:8]
     agg, counts = ground_truth_point(keyset.keys, keyset.row_ids, lookups)
     for _ in range(4):  # round-robin would hit replica 0 twice
-        result = group.point_lookup_batch(lookups)
+        result = group.read_point(lookups).result
         np.testing.assert_array_equal(result.row_ids, agg)
     assert group.counters["failovers"] == 2
     assert group.replica(0).pending_transient == 0
@@ -202,20 +202,21 @@ def test_transient_error_fails_over_to_another_replica(keyset):
 
 def test_failover_overhead_lands_in_lookup_time(keyset):
     group = make_group(keyset, failover_penalty_ms=0.5)
-    baseline = group.lookup_time_ms(group.point_lookup_batch(keyset.keys[:8]))
+    baseline = group.read_point(keyset.keys[:8]).time_ms
     group.inject_transient(int(group.replicas[group._rr_cursor % 3].replica_id), count=1)
-    result = group.point_lookup_batch(keyset.keys[:8])
-    assert group.lookup_time_ms(result) >= baseline + 0.5
+    read = group.read_point(keyset.keys[:8])
+    assert read.overhead_ms == pytest.approx(0.5)
+    assert read.time_ms >= baseline + 0.5
 
 
 def test_slow_replica_scales_lookup_time(keyset):
     group = make_group(keyset, read_policy="round_robin")
-    result = group.point_lookup_batch(keyset.keys[:64])
-    fast_ms = group.lookup_time_ms(result)
+    fast_ms = group.read_point(keyset.keys[:64]).time_ms
     for replica in group.replicas:
         group.set_slow(replica.replica_id, 8.0)
-    slow = group.point_lookup_batch(keyset.keys[:64])
-    assert group.lookup_time_ms(slow) == pytest.approx(8.0 * fast_ms)
+    slow = group.read_point(keyset.keys[:64])
+    assert slow.slow_factor == 8.0
+    assert slow.time_ms == pytest.approx(8.0 * fast_ms)
 
 
 def test_total_outage_triggers_emergency_restart_and_window(keyset):
@@ -227,7 +228,7 @@ def test_total_outage_triggers_emergency_restart_and_window(keyset):
     clock.advance(14.0)
     lookups = keyset.keys[:8]
     agg, counts = ground_truth_point(keyset.keys, keyset.row_ids, lookups)
-    result = group.point_lookup_batch(lookups)  # must still answer correctly
+    result = group.read_point(lookups).result  # must still answer correctly
     np.testing.assert_array_equal(result.row_ids, agg)
     np.testing.assert_array_equal(result.match_counts, counts)
     assert group.counters["emergency_restarts"] == 1
@@ -248,7 +249,7 @@ def test_added_replica_serves_immediately(keyset):
     joined = group.add_replica()
     assert joined.available and joined.applied_lsn == group.lsn
     for _ in range(3):
-        result = group.point_lookup_batch(np.asarray([123456], dtype=np.uint32))
+        result = group.read_point(np.asarray([123456], dtype=np.uint32)).result
         assert result.match_counts[0] == 1
     assert group.replica(joined.replica_id).reads_served > 0
 
@@ -507,7 +508,7 @@ def test_stale_outage_end_after_restart_is_ignored(keyset):
     injector.poll(1.0)
     # Reading the single-replica shard at t=2 forces an emergency restart,
     # superseding outage A (its end at t=10 is now stale).
-    group.point_lookup_batch(keyset.keys[:4])
+    group.read_point(keyset.keys[:4])
     assert group.replica(0).state == HEALTHY
     injector.poll(12.0)  # outage B started at 5; stale end of A fires at 10
     assert group.replica(0).state == DOWN  # B runs until t=25
@@ -537,11 +538,12 @@ def test_empty_replica_group_is_a_benign_no_op():
         key_bits=32,
     )
     assert group.build_stats == [] and len(group) == 0
-    result = group.point_lookup_batch(np.asarray([1, 2], dtype=np.uint32))
-    np.testing.assert_array_equal(result.match_counts, [0, 0])
+    read = group.read_point(np.asarray([1, 2], dtype=np.uint32))
+    np.testing.assert_array_equal(read.result.match_counts, [0, 0])
     # No replica served it: no failover overhead, no slowdown charged.
-    assert group.lookup_time_ms(result) == pytest.approx(
-        group.cost_model.kernel_time_ms(result.stats)
+    assert read.overhead_ms == 0.0 and read.slow_factor == 1.0
+    assert read.time_ms == pytest.approx(
+        group.cost_model.kernel_time_ms(read.result.stats)
     )
 
 
@@ -549,15 +551,51 @@ def test_empty_group_reads_do_not_recharge_stale_overhead(keyset):
     group = make_group(keyset, restart_penalty_ms=5.0)
     for replica in group.replicas:
         group.crash(replica.replica_id, now_ms=1.0)
-    group.point_lookup_batch(keyset.keys[:2])  # emergency restart: 5ms charged
-    assert group.last_overhead_ms == pytest.approx(5.0)
-    # Wipe the group empty; the short-circuit path must reset the charge.
+    restarted = group.read_point(keyset.keys[:2])  # emergency restart: 5ms charged
+    assert restarted.overhead_ms == pytest.approx(5.0)
+    # Wipe the group empty; the short-circuit read must not charge it again.
     group.update_batch(delete_keys=group.keys.copy())
-    result = group.point_lookup_batch(np.asarray([1], dtype=np.uint32))
-    assert group.last_overhead_ms == 0.0
-    assert group.lookup_time_ms(result) == pytest.approx(
-        group.cost_model.kernel_time_ms(result.stats)
+    read = group.read_point(np.asarray([1], dtype=np.uint32))
+    assert read.overhead_ms == 0.0
+    assert read.time_ms == pytest.approx(
+        group.cost_model.kernel_time_ms(read.result.stats)
     )
+    assert restarted.overhead_ms == pytest.approx(5.0)
+
+
+def test_shard_reads_keep_their_own_outcomes(keyset):
+    """Each read's outcome travels in the ShardRead it returned: a later read
+    cannot overwrite an earlier one's unavailability or overhead."""
+    from repro.serve import ReliabilityConfig, ReliabilityState
+
+    group = make_group(keyset, replication_factor=2)
+    group.reliability = ReliabilityState(ReliabilityConfig(), group.clock)
+    group.inject_transient(0, 50)
+    group.inject_transient(1, 50)
+    first = group.read_point(keyset.keys[:8], start_ms=0.0, deadline_ms=0.01)
+    first_time_ms = first.time_ms
+    assert first.unavailable and first.overhead_ms > 0.0
+    for replica in group.replicas:
+        replica.pending_transient = 0
+    second = group.read_point(keyset.keys[:8])
+    assert not second.unavailable and second.overhead_ms == 0.0
+    assert second.result.match_counts.sum() > 0
+    assert first.unavailable and first.overhead_ms > 0.0
+    assert first.time_ms == first_time_ms
+    assert np.all(first.result.row_ids == -1)
+
+    # A plain shard's read time is exactly the index's own lookup time.
+    router = ShardRouter(
+        keyset.keys, keyset.row_ids, factory=sorted_array_factory(), num_shards=2,
+        key_bits=32,
+    )
+    index = router.shards[0].index
+    point = router.read_point(0, keyset.keys[:64])
+    assert point.time_ms == index.lookup_time_ms(point.result)
+    lows = np.sort(keyset.keys)[:4]
+    ranged = router.read_range(0, lows, lows + 1000)
+    assert ranged.time_ms == index.lookup_time_ms(ranged.result)
+    assert not point.unavailable and point.overhead_ms == 0.0
 
 
 def test_overlapping_slowdowns_hold_the_worst_active_factor(keyset):
@@ -592,7 +630,7 @@ def test_restart_clears_faults_injected_against_the_old_process(keyset):
     assert replica.pending_transient == 0
     before = group.counters.get("failovers", 0)
     for _ in range(3):
-        group.point_lookup_batch(keyset.keys[:4])
+        group.read_point(keyset.keys[:4])
     assert group.counters.get("failovers", 0) == before
 
 
