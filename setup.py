@@ -45,7 +45,7 @@ setup(
     python_requires=">=3.9",
     install_requires=["numpy"],
     extras_require={
-        "test": ["pytest"],
+        "test": ["pytest", "hypothesis"],
     },
     entry_points={
         "console_scripts": [

@@ -84,6 +84,12 @@ def _scaled_saturation_device(
     return replaced
 
 
+def _identical(*pairs) -> bool:
+    """The oracle check: every ``(actual, expected)`` array pair holds the
+    same bytes (same dtype width, same values)."""
+    return all(actual.tobytes() == expected.tobytes() for actual, expected in pairs)
+
+
 # --------------------------------------------------------------------------
 # Table I
 # --------------------------------------------------------------------------
@@ -943,9 +949,9 @@ def availability(
 
     def oracle_identical(served) -> bool:
         row_agg, match_counts = served.last_answers
-        return (
-            row_agg.tobytes() == stream_expected.row_ids.tobytes()
-            and match_counts.tobytes() == stream_expected.match_counts.tobytes()
+        return _identical(
+            (row_agg, stream_expected.row_ids),
+            (match_counts, stream_expected.match_counts),
         )
 
     # (a) Read balancing across the replication factor x policy plane.  The
@@ -1087,9 +1093,9 @@ def availability(
             quorum_failures=wave_delta(replication, "quorum_failures"),
             resyncs_log_replay=wave_delta(replication, "resyncs_log_replay"),
             resyncs_snapshot=wave_delta(replication, "resyncs_snapshot"),
-            answers_identical=bool(
-                answered.row_ids.tobytes() == expected.row_ids.tobytes()
-                and answered.match_counts.tobytes() == expected.match_counts.tobytes()
+            answers_identical=_identical(
+                (answered.row_ids, expected.row_ids),
+                (answered.match_counts, expected.match_counts),
             ),
         )
         previous_totals = replication
@@ -1229,9 +1235,8 @@ def lifecycle(
             reference = SortedArrayIndex(oracle_keys, oracle_rows, key_bits=32)
             expected = reference.point_lookup_batch(chunk.keys)
             answers, counts = served.last_answers
-            oracle_identical = bool(
-                answers.tobytes() == expected.row_ids.tobytes()
-                and counts.tobytes() == expected.match_counts.tobytes()
+            oracle_identical = _identical(
+                (answers, expected.row_ids), (counts, expected.match_counts)
             )
 
             # Update wave: inserts grow chains; whole-duplicate-group deletes
@@ -1373,11 +1378,9 @@ def hotpath(
         return dataclasses.asdict(a) == dataclasses.asdict(b)
 
     def point_identical(a, b) -> bool:
-        return bool(
-            a.row_ids.tobytes() == b.row_ids.tobytes()
-            and a.match_counts.tobytes() == b.match_counts.tobytes()
-            and stats_identical(a.stats, b.stats)
-        )
+        return _identical(
+            (a.row_ids, b.row_ids), (a.match_counts, b.match_counts)
+        ) and stats_identical(a.stats, b.stats)
 
     # (a) Point lookups across batch sizes.
     for batch_size in batch_sizes:
@@ -1413,11 +1416,9 @@ def hotpath(
     compiled_s, compiled_range = timed(index, "compiled", lambda: index.range_lookup_batch(lows, highs))
 
     def range_identical(a, b) -> bool:
-        return bool(
-            all(
-                left.tobytes() == right.tobytes()
-                for left, right in zip(a.row_ids, b.row_ids)
-            )
+        return (
+            len(a.row_ids) == len(b.row_ids)
+            and _identical(*zip(a.row_ids, b.row_ids))
             and stats_identical(a.stats, b.stats)
         )
 
@@ -1465,8 +1466,7 @@ def hotpath(
             a.inserted == b.inserted
             and a.deleted == b.deleted
             and stats_identical(a.stats, b.stats)
-            and a_entries[0].tobytes() == b_entries[0].tobytes()
-            and a_entries[1].tobytes() == b_entries[1].tobytes()
+            and _identical(*zip(a_entries, b_entries))
         )
 
     result.add(
@@ -1626,7 +1626,7 @@ def observability(
             keyset.keys, keyset.row_ids, factory=cgrxu_factory(128), config=config
         )
         rng = np.random.default_rng(seed + 1)  # identical workload either way
-        answers: List[bytes] = []
+        answers: List[np.ndarray] = []
         begin = time.perf_counter()
         for wave in range(1, num_waves + 1):
             insert_keys = rng.integers(
@@ -1663,10 +1663,9 @@ def observability(
                     [dataclasses.replace(e, at_ms=e.at_ms + now) for e in events]
                 )
             served.serve_stream(chunk, record_answers=True)
-            row_agg, match_counts = served.last_answers
-            answers.append(row_agg.tobytes() + match_counts.tobytes())
+            answers.extend(served.last_answers)
         elapsed = time.perf_counter() - begin
-        return elapsed, b"".join(answers), served.metrics.snapshot(), served
+        return elapsed, answers, served.metrics.snapshot(), served
 
     # Best-of-repeats timing, modes interleaved so background load drift
     # hits both equally; every repeat is a fresh deployment so no state
@@ -1710,7 +1709,7 @@ def observability(
         untraced_s=untraced_s,
         traced_s=traced_s,
         overhead_pct=overhead_pct,
-        answers_identical=bool(answers_u == answers_t),
+        answers_identical=_identical(*zip(answers_u, answers_t)),
         metrics_identical=bool(snapshot_u == snapshot_t),
         num_spans=len(spans),
         tail_requests=breakdown["tail_requests"],
@@ -1833,15 +1832,10 @@ def adaptive(
             shed_untouched = bool(
                 np.all(rows[shed] == -1) and np.all(counts[shed] == 0)
             )
-            return bool(
-                shed_untouched
-                and rows[keep].tobytes() == expected_rows[keep].tobytes()
-                and counts[keep].tobytes() == expected_counts[keep].tobytes()
+            return shed_untouched and _identical(
+                (rows[keep], expected_rows[keep]), (counts[keep], expected_counts[keep])
             )
-        return bool(
-            rows.tobytes() == expected_rows.tobytes()
-            and counts.tobytes() == expected_counts.tobytes()
-        )
+        return _identical((rows, expected_rows), (counts, expected_counts))
 
     # (a) Hotspot migration: static range vs static hash vs adaptive range.
     hotspot = shifting_hotspot_stream(
@@ -2099,9 +2093,9 @@ def durability(
         )
         expected = oracle.point_lookup_batch(probe)
         answered = served.point_lookup_batch(probe)
-        return bool(
-            answered.row_ids.tobytes() == expected.row_ids.tobytes()
-            and answered.match_counts.tobytes() == expected.match_counts.tobytes()
+        return _identical(
+            (answered.row_ids, expected.row_ids),
+            (answered.match_counts, expected.match_counts),
         )
 
     # (a) Process-kill weather: acked update waves between kill rounds, every
@@ -2164,9 +2158,8 @@ def durability(
             durable_restores=int(replication.get("resyncs_durable", 0)) - int(previous.get("resyncs_durable", 0)),
             wal_records_replayed=served.store.counters["records_replayed"],
             acked_writes_lost=int(expected_keys.shape[0] - recovered_keys.shape[0]),
-            entries_identical=bool(
-                recovered_keys.tobytes() == expected_keys.tobytes()
-                and recovered_rows.tobytes() == expected_rows.tobytes()
+            entries_identical=_identical(
+                (recovered_keys, expected_keys), (recovered_rows, expected_rows)
             ),
             answers_identical=probe_identical(
                 served, oracle_keys, oracle_rows, seed + 10 + wave
@@ -2204,9 +2197,9 @@ def durability(
         recovery_max_ms=snapshot.get("recovery_max_ms", 0.0),
         latency_p99_ms=snapshot["latency_p99_ms"],
         availability=snapshot.get("availability", 1.0),
-        answers_identical=bool(
-            row_agg.tobytes() == stream_expected.row_ids.tobytes()
-            and match_counts.tobytes() == stream_expected.match_counts.tobytes()
+        answers_identical=_identical(
+            (row_agg, stream_expected.row_ids),
+            (match_counts, stream_expected.match_counts),
         ),
     )
 
@@ -2246,9 +2239,8 @@ def durability(
         recovery_wall_ms=report["recovery_wall_ms"],
         cold_start_wall_ms=cold_start_wall_ms,
         acked_writes_lost=int(expected_keys.shape[0] - recovered_keys.shape[0]),
-        entries_identical=bool(
-            recovered_keys.tobytes() == expected_keys.tobytes()
-            and recovered_rows.tobytes() == expected_rows.tobytes()
+        entries_identical=_identical(
+            (recovered_keys, expected_keys), (recovered_rows, expected_rows)
         ),
         answers_identical=probe_identical(
             recovered, oracle_keys, oracle_rows, seed + 20
@@ -2405,10 +2397,9 @@ def tail_reliability(
 
     def identical_on(served, mask: np.ndarray) -> bool:
         row_agg, match_counts = served.last_answers
-        return bool(
-            row_agg[mask].tobytes() == stream_expected.row_ids[mask].tobytes()
-            and match_counts[mask].tobytes()
-            == stream_expected.match_counts[mask].tobytes()
+        return _identical(
+            (row_agg[mask], stream_expected.row_ids[mask]),
+            (match_counts[mask], stream_expected.match_counts[mask]),
         )
 
     def storm_events(factor_seed: int = 2):
@@ -2563,22 +2554,16 @@ def tail_reliability(
         )
         expected = wave_oracle.point_lookup_batch(probe)
         answered = served.point_lookup_batch(probe)
+        identical = _identical(
+            (answered.row_ids, expected.row_ids),
+            (answered.match_counts, expected.match_counts),
+        )
         result.add(
             panel="c_write_safety",
             wave=wave,
             writes_applied=int(acked.inserted),
-            acked_writes_lost=0
-            if (
-                answered.row_ids.tobytes() == expected.row_ids.tobytes()
-                and answered.match_counts.tobytes()
-                == expected.match_counts.tobytes()
-            )
-            else -1,
-            answers_identical=bool(
-                answered.row_ids.tobytes() == expected.row_ids.tobytes()
-                and answered.match_counts.tobytes()
-                == expected.match_counts.tobytes()
-            ),
+            acked_writes_lost=0 if identical else -1,
+            answers_identical=identical,
         )
     return result
 

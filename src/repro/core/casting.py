@@ -9,7 +9,7 @@ fast axis path and snaps hit positions back onto the grid.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -49,22 +49,6 @@ class SceneCaster:
             float(grid_z) * self._mapping.z_scale,
         )
         return self._pipeline.cast_axis_closest(0, origin, tmax, stats)
-
-    def x_cast_all(
-        self,
-        from_x: float,
-        grid_y: float,
-        grid_z: float,
-        tmax: float = float("inf"),
-        stats: Optional[RayStats] = None,
-    ) -> List[HitRecord]:
-        """All hits of a +x ray (used by RX-style range lookups)."""
-        origin = (
-            float(from_x) - RAY_START_OFFSET,
-            float(grid_y) * self._mapping.y_scale,
-            float(grid_z) * self._mapping.z_scale,
-        )
-        return self._pipeline.cast_axis_all(0, origin, tmax, stats)
 
     def y_cast(
         self,
@@ -128,17 +112,6 @@ class SceneCaster:
             np.asarray(grid_z, dtype=np.float64) * self._mapping.z_scale,
         )
         return self._pipeline.cast_axis_closest_batch(0, origins, tmax, stats)
-
-    def x_cast_all_batch(
-        self, from_x, grid_y, grid_z, tmax=None, stats: Optional[RayStats] = None
-    ):
-        """Batched :meth:`x_cast_all`: every hit of one +x ray per position."""
-        origins = self._origins(
-            np.asarray(from_x, dtype=np.float64) - RAY_START_OFFSET,
-            np.asarray(grid_y, dtype=np.float64) * self._mapping.y_scale,
-            np.asarray(grid_z, dtype=np.float64) * self._mapping.z_scale,
-        )
-        return self._pipeline.cast_axis_all_batch(0, origins, tmax, stats)
 
     def y_cast_batch(self, grid_x, from_y, grid_z, stats: Optional[RayStats] = None):
         """Batched :meth:`y_cast`."""

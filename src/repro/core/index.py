@@ -132,24 +132,11 @@ class CgRXIndex(GpuIndex):
         kernel call.  Counters and samples are identical across all three.
         """
         stats = RayStats()
+        bucket_ids, ray_nodes = self.representation.locate_bucket_batch(
+            keys, stats, resolve_engine(self.config.engine)
+        )
         sample_every = max(1, keys.shape[0] // _DIVERGENCE_SAMPLE)
-        engine = resolve_engine(self.config.engine)
-        if engine != "scalar":
-            self.pipeline.batch_engine = engine
-            try:
-                bucket_ids, ray_nodes = self.representation.locate_bucket_batch(keys, stats)
-            finally:
-                self.pipeline.batch_engine = "vector"
-            work_sample = [int(nodes) for nodes in ray_nodes[::sample_every]]
-            return bucket_ids, stats, work_sample
-        bucket_ids = np.empty(keys.shape[0], dtype=np.int64)
-        work_sample: List[int] = []
-        previous_nodes = 0
-        for position, key in enumerate(keys):
-            bucket_ids[position] = self.representation.locate_bucket(int(key), stats)
-            if position % sample_every == 0:
-                work_sample.append(stats.nodes_visited - previous_nodes)
-            previous_nodes = stats.nodes_visited
+        work_sample = [int(nodes) for nodes in ray_nodes[::sample_every]]
         return bucket_ids, stats, work_sample
 
     def point_lookup_batch(self, keys: np.ndarray) -> LookupResult:

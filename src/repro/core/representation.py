@@ -64,34 +64,138 @@ class SceneRepresentation(ABC):
         key.  ``stats`` accumulates the ray-traversal work of the lookup.
         """
 
-    def locate_bucket_batch(self, keys, stats: Optional[RayStats] = None):
+    def locate_bucket_batch(self, keys, stats: Optional[RayStats], engine: str):
         """Batched :meth:`locate_bucket`: ``(bucket_ids, nodes_visited)`` arrays.
 
-        Subclasses override this with one fused compiled call
-        (:meth:`_locate_compiled`) or staged wavefront launches; the fallback
-        loops the scalar procedure, so results and counters are identical by
-        construction either way.
+        ``engine="scalar"`` loops :meth:`locate_bucket` per key;
+        ``"compiled"`` runs every key's ray sequence in one fused kernel call
+        when the compiled tier can serve the scene; otherwise the rays are
+        staged as one wavefront launch per ray stage.  Every engine fires
+        exactly the rays :meth:`locate_bucket` fires per key, so bucket ids,
+        per-key node visits and the ``stats`` totals are identical.
         """
         keys = np.asarray(keys)
-        bucket_ids = np.empty(keys.shape[0], dtype=np.int64)
-        nodes = np.zeros(keys.shape[0], dtype=np.int64)
-        for position, key in enumerate(keys):
-            local = RayStats()
-            bucket_ids[position] = self.locate_bucket(int(key), local)
-            nodes[position] = local.nodes_visited
-            if stats is not None:
-                stats.merge(local)
-        return bucket_ids, nodes
+        if engine == "scalar":
+            stats = stats if stats is not None else RayStats()
+            bucket_ids = np.empty(keys.shape[0], dtype=np.int64)
+            nodes = np.zeros(keys.shape[0], dtype=np.int64)
+            for position, key in enumerate(keys):
+                before = stats.nodes_visited
+                bucket_ids[position] = self.locate_bucket(int(key), stats)
+                nodes[position] = stats.nodes_visited - before
+            return bucket_ids, nodes
+        if engine == "compiled":
+            located = self._locate_compiled(keys, stats)
+            if located is not None:
+                return located
+        return self._locate_staged(keys, stats)
 
-    def _locate_compiled(self, keys, stats: Optional[RayStats]):
+    def _locate_staged(self, keys: np.ndarray, stats: Optional[RayStats]):
+        """Vector-engine :meth:`locate_bucket_batch`: the scalar ray sequence
+        as stage-synchronous wavefront launches (all rays of a stage share an
+        axis)."""
+        column_x, plane_lane_y, flips, remap = self._locate_lanes()
+        num_keys = int(keys.shape[0])
+        out = np.full(num_keys, MISS, dtype=np.int64)
+        nodes = np.zeros(num_keys, dtype=np.int64)
+        if num_keys == 0:
+            return out, nodes
+
+        mapping = self.mapping
+        caster = self.caster
+        keys64 = keys.astype(np.uint64)
+        below = keys64 < np.uint64(self.min_representative)
+        in_range = keys64 <= np.uint64(self.max_representative)
+        out[below] = 0
+
+        kx = mapping.x_of(keys64).astype(np.int64)
+        ky = mapping.y_of(keys64).astype(np.int64)
+        kz = mapping.z_of(keys64).astype(np.int64)
+
+        def answer(positions, primitive_index):
+            out[positions] = self._remap_batch(primitive_index) if remap else primitive_index
+
+        def enter_row(positions, next_row, grid_z):
+            # A discovery ray found the next populated row: a back-face hit
+            # (flipped row terminator) answers directly, a front-face hit
+            # fires the ray to the row's leftmost representative.
+            hit = next_row.hit
+            if flips:
+                back = hit & ~next_row.front_face
+                answer(positions[back], next_row.primitive_index[back])
+                hit = hit & next_row.front_face
+            front = np.nonzero(hit)[0]
+            if front.size:
+                front_keys = positions[front]
+                row_y = caster.hit_grid_y_batch(next_row.point)[front]
+                leftmost = caster.x_cast_batch(
+                    np.zeros(front.size, dtype=np.int64), row_y, grid_z[front], stats=stats
+                )
+                nodes[front_keys] += leftmost.nodes_visited
+                found = leftmost.hit
+                answer(front_keys[found], leftmost.primitive_index[found])
+
+        # Ray 1: along +x in each key's own row.
+        todo = np.nonzero(in_range & ~below)[0]
+        if todo.size == 0:
+            return out, nodes
+        same_row = caster.x_cast_batch(kx[todo], ky[todo], kz[todo], stats=stats)
+        nodes[todo] += same_row.nodes_visited
+        resolved = same_row.hit
+        answer(todo[resolved], same_row.primitive_index[resolved])
+        pending = todo[~resolved]
+
+        # Ray 2 (+ ray 3): the next populated row along the discovery column.
+        if self.multi_line and pending.size:
+            next_row = caster.y_cast_batch(
+                np.full(pending.size, column_x), ky[pending] + 1, kz[pending], stats=stats
+            )
+            nodes[pending] += next_row.nodes_visited
+            enter_row(pending, next_row, kz[pending])
+            pending = pending[~next_row.hit]
+
+        # Rays 3-5: the next populated plane along the discovery lane, then
+        # its first populated row, then that row's leftmost representative.
+        if self.multi_plane and pending.size:
+            next_plane = caster.z_cast_batch(
+                np.full(pending.size, column_x),
+                np.full(pending.size, plane_lane_y),
+                kz[pending] + 1,
+                stats=stats,
+            )
+            nodes[pending] += next_plane.nodes_visited
+            planed = np.nonzero(next_plane.hit)[0]
+            if planed.size:
+                plane_keys = pending[planed]
+                plane_z = caster.hit_grid_z_batch(next_plane.point)[planed]
+                next_row = caster.y_cast_batch(
+                    np.full(planed.size, column_x),
+                    np.zeros(planed.size, dtype=np.int64),
+                    plane_z,
+                    stats=stats,
+                )
+                nodes[plane_keys] += next_row.nodes_visited
+                enter_row(plane_keys, next_row, plane_z)
+        return out, nodes
+
+    def _remap_batch(self, primitive_index: np.ndarray) -> np.ndarray:
+        """Bucket ids of primitive indices: a marker slot marks the transition
+        into the bucket after the one that produced it."""
+        plane = (primitive_index >= self.plane_marker_offset) & self.multi_plane
+        row = primitive_index >= self.row_marker_offset
+        return np.where(
+            plane,
+            primitive_index - self.plane_marker_offset + 1,
+            np.where(row, primitive_index - self.row_marker_offset + 1, primitive_index),
+        )
+
+    def _locate_compiled(self, keys: np.ndarray, stats: Optional[RayStats]):
         """Compiled-engine :meth:`locate_bucket_batch`: one kernel call per batch.
 
-        Returns ``None`` unless the pipeline's batch engine is ``"compiled"``
-        and the compiled tier can serve the scene; the caller then stages the
-        rays on the vector engine.  Results and counters are identical.
+        Returns ``None`` when the compiled tier cannot serve the scene; the
+        caller then stages the rays on the vector engine.  Results and
+        counters are identical.
         """
-        if self.pipeline.batch_engine != "compiled":
-            return None
         if self._locate_params is None:
             from repro.rtx.compiled import LocateParams
 
@@ -114,15 +218,13 @@ class SceneRepresentation(ABC):
                 row_marker_offset=self.row_marker_offset,
                 plane_marker_offset=self.plane_marker_offset,
             )
-        return self.pipeline.locate_buckets_batch(
-            self._locate_params, np.asarray(keys), stats
-        )
+        return self.pipeline.locate_buckets_batch(self._locate_params, keys, stats)
 
     @abstractmethod
     def _locate_lanes(self) -> Tuple[float, float, bool, bool]:
-        """``(column_x, plane_lane_y, flips, remap)`` of the compiled locate.
+        """``(column_x, plane_lane_y, flips, remap)`` of the batched locate.
 
-        The grid column of the y/z discovery rays, the grid row of the z
+        Shared by the staged and the compiled engine: the grid column of the y/z discovery rays, the grid row of the z
         discovery ray, whether a back-face row hit answers directly, and
         whether marker slots remap to the following bucket.
         """

@@ -330,11 +330,7 @@ class CgRXuIndex(GpuIndex):
         """Batch path: wavefront or compiled routing plus a batched chain walk."""
         num_lookups = int(keys.shape[0])
         ray_stats = RayStats()
-        self.pipeline.batch_engine = engine
-        try:
-            bucket_ids, ray_nodes = self.representation.locate_bucket_batch(keys, ray_stats)
-        finally:
-            self.pipeline.batch_engine = "vector"
+        bucket_ids, ray_nodes = self.representation.locate_bucket_batch(keys, ray_stats, engine)
         buckets = np.where(bucket_ids == MISS, self.overflow_bucket, bucket_ids)
 
         walk = None
@@ -557,11 +553,7 @@ class CgRXuIndex(GpuIndex):
         """
         num_queries = int(lows.shape[0])
         ray_stats = RayStats()
-        self.pipeline.batch_engine = engine
-        try:
-            bucket_ids, _ = self.representation.locate_bucket_batch(lows, ray_stats)
-        finally:
-            self.pipeline.batch_engine = "vector"
+        bucket_ids, _ = self.representation.locate_bucket_batch(lows, ray_stats, engine)
         buckets = np.where(bucket_ids == MISS, self.overflow_bucket, bucket_ids)
 
         order, starts = self._chain_table()

@@ -7,17 +7,18 @@ programming model at the granularity the paper needs:
 * write triangles into a vertex buffer,
 * ``build_acceleration_structure()`` (``optixAccelBuild``),
 * ``update_acceleration_structure()`` (refit-only update),
-* fire rays individually (``cast_closest`` / ``cast_all``) or as a batch
-  launch, and
+* fire rays one at a time (``cast_closest`` / ``cast_all`` and their
+  axis-aligned fast paths), as wavefront batches of axis-aligned rays
+  (``cast_axis_closest_batch`` / ``cast_axis_all_batch``), or as one fused
+  cgRX bucket-location call (``locate_buckets_batch``), and
 * query the device memory footprint of buffer plus BVH.
 
-Every ray fired through the pipeline is counted; the per-launch counters are
-what the GPU cost model consumes.
+Every ray is counted into the caller's :class:`RayStats`; those per-call
+counters are what the GPU cost model consumes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -27,14 +28,6 @@ from repro.rtx.geometry import HitRecord, Ray
 from repro.rtx.refit import refit_bvh
 from repro.rtx.scene import BuildFlags, TriangleScene, VertexBuffer
 from repro.rtx.traversal import RayStats, TraversalEngine
-
-
-@dataclass
-class LaunchResult:
-    """Result of a batched ray launch: per-ray hit records plus work counters."""
-
-    hits: List[HitRecord] = field(default_factory=list)
-    stats: RayStats = field(default_factory=RayStats)
 
 
 class RaytracingPipeline:
@@ -50,19 +43,12 @@ class RaytracingPipeline:
         self.build_flags = build_flags
         self._bvh: Optional[Bvh] = None
         self._engine: Optional[TraversalEngine] = None
-        #: Engine of the batched bucket location: ``"vector"`` (staged
-        #: wavefront launches) or ``"compiled"`` (one fused kernel call per
-        #: batch, :meth:`locate_buckets_batch`).  Indexes set this around a
-        #: batch instead of threading a parameter through every staging layer.
-        self.batch_engine = "vector"
         #: Shard-local arena backing the compiled tier's node tables; owned
         #: here (not by the per-build traversal engine) so acceleration-
         #: structure rebuilds and refits repack it in place across epochs.
         from repro.rtx.compiled import Arena
 
         self._compiled_arena = Arena()
-        #: Statistics accumulated over the lifetime of the pipeline.
-        self.lifetime_stats = RayStats()
         #: Number of full acceleration-structure builds performed.
         self.build_count = 0
         #: Number of refit-only updates performed.
@@ -118,23 +104,11 @@ class RaytracingPipeline:
 
     def cast_closest(self, ray: Ray, stats: Optional[RayStats] = None) -> HitRecord:
         """Fire a single ray and return its closest hit."""
-        engine = self._require_engine()
-        local = RayStats()
-        record = engine.trace_closest(ray, local)
-        if stats is not None:
-            stats.merge(local)
-        self.lifetime_stats.merge(local)
-        return record
+        return self._require_engine().trace_closest(ray, stats)
 
     def cast_all(self, ray: Ray, stats: Optional[RayStats] = None) -> List[HitRecord]:
         """Fire a single ray and return all hits along it, nearest first."""
-        engine = self._require_engine()
-        local = RayStats()
-        records = engine.trace_all(ray, local)
-        if stats is not None:
-            stats.merge(local)
-        self.lifetime_stats.merge(local)
-        return records
+        return self._require_engine().trace_all(ray, stats)
 
     def cast_axis_closest(
         self,
@@ -144,13 +118,7 @@ class RaytracingPipeline:
         stats: Optional[RayStats] = None,
     ) -> HitRecord:
         """Fire an axis-aligned ray (fast path) and return its closest hit."""
-        engine = self._require_engine()
-        local = RayStats()
-        record = engine.trace_axis_closest(axis, origin, tmax, local)
-        if stats is not None:
-            stats.merge(local)
-        self.lifetime_stats.merge(local)
-        return record
+        return self._require_engine().trace_axis_closest(axis, origin, tmax, stats)
 
     def cast_axis_all(
         self,
@@ -160,13 +128,7 @@ class RaytracingPipeline:
         stats: Optional[RayStats] = None,
     ) -> List[HitRecord]:
         """Fire an axis-aligned ray (fast path) and return all hits, nearest first."""
-        engine = self._require_engine()
-        local = RayStats()
-        records = engine.trace_axis_all(axis, origin, tmax, local)
-        if stats is not None:
-            stats.merge(local)
-        self.lifetime_stats.merge(local)
-        return records
+        return self._require_engine().trace_axis_all(axis, origin, tmax, stats)
 
     def cast_axis_closest_batch(
         self,
@@ -180,13 +142,7 @@ class RaytracingPipeline:
         Returns a :class:`~repro.rtx.wavefront.AxisClosestBatch`; counters and
         hits are identical to calling :meth:`cast_axis_closest` per ray.
         """
-        engine = self._require_engine()
-        local = RayStats()
-        result = engine.trace_axis_closest_batch(axis, origins, tmax, local)
-        if stats is not None:
-            stats.merge(local)
-        self.lifetime_stats.merge(local)
-        return result
+        return self._require_engine().trace_axis_closest_batch(axis, origins, tmax, stats)
 
     def cast_axis_all_batch(
         self,
@@ -196,13 +152,7 @@ class RaytracingPipeline:
         stats: Optional[RayStats] = None,
     ):
         """Fire a batch of axis-aligned rays and collect every hit per ray."""
-        engine = self._require_engine()
-        local = RayStats()
-        result = engine.trace_axis_all_batch(axis, origins, tmax, local)
-        if stats is not None:
-            stats.merge(local)
-        self.lifetime_stats.merge(local)
-        return result
+        return self._require_engine().trace_axis_all_batch(axis, origins, tmax, stats)
 
     def locate_buckets_batch(self, params, keys: np.ndarray, stats: Optional[RayStats] = None):
         """cgRX bucket location of a key batch in one compiled kernel call.
@@ -211,34 +161,7 @@ class RaytracingPipeline:
         :meth:`~repro.rtx.traversal.TraversalEngine.locate_buckets_batch`, or
         ``None`` when the compiled tier cannot serve the current tree.
         """
-        local = RayStats()
-        located = self._require_engine().locate_buckets_batch(params, keys, local)
-        if located is not None:
-            if stats is not None:
-                stats.merge(local)
-            self.lifetime_stats.merge(local)
-        return located
-
-    def launch_closest(self, rays: Sequence[Ray], engine: str = "scalar") -> LaunchResult:
-        """Fire a batch of rays (one simulated thread each) and collect closest hits.
-
-        ``engine="vector"`` routes the batch through the wavefront traversal;
-        hits and counters are identical either way.
-        """
-        result = LaunchResult()
-        # The compiled tier covers axis-aligned closest-hit batches only;
-        # general-direction launches execute on the wavefront path under it.
-        if engine in ("vector", "compiled"):
-            traversal = self._require_engine()
-            local = RayStats()
-            result.hits = traversal.trace_closest_batch(rays, local)
-            result.stats.merge(local)
-            self.lifetime_stats.merge(local)
-            return result
-        for ray in rays:
-            record = self.cast_closest(ray, result.stats)
-            result.hits.append(record)
-        return result
+        return self._require_engine().locate_buckets_batch(params, keys, stats)
 
     def _require_engine(self) -> TraversalEngine:
         if self._engine is None:

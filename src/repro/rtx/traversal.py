@@ -11,7 +11,7 @@ clustered BVH (unscaled key mapping) directly produces higher counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -108,8 +108,6 @@ class TraversalEngine:
         self._vertices = bvh.scene.vertices
         self._primitive_indices = bvh.scene.primitive_indices
         self._flipped = bvh.scene.flipped
-        #: Aggregate statistics over all rays traced by this engine.
-        self.stats = RayStats()
         self._fast_tables: Optional[tuple] = None
         self._soa = None
         #: Shard-local arena for the compiled tier's quantized node tables;
@@ -117,16 +115,12 @@ class TraversalEngine:
         self._compiled_arena = compiled_arena
         self._compiled_tables = None
 
-    @property
-    def bvh(self) -> Bvh:
-        return self._bvh
-
     def soa(self):
         """Contiguous SoA views of the BVH, built once per engine.
 
-        Shared by the scalar slab tests (which previously promoted float32
-        node rows to doubles on every visit) and by the wavefront batch
-        kernels in :mod:`repro.rtx.wavefront`.
+        Shared by the general path's slab tests (float64 node bounds, so no
+        per-visit promotion) and by the axis-aligned wavefront batches in
+        :mod:`repro.rtx.wavefront`.
         """
         if self._soa is None:
             from repro.rtx.wavefront import SoaBvh
@@ -172,7 +166,6 @@ class TraversalEngine:
         record = HitRecord()
         if bvh.num_nodes == 0:
             stats.misses += 1
-            self.stats.merge(stats)
             return record
 
         soa = self.soa()
@@ -223,7 +216,6 @@ class TraversalEngine:
             stats.hits += 1
         else:
             stats.misses += 1
-        self.stats.merge(stats)
         return record
 
     def trace_all(self, ray: Ray, stats: Optional[RayStats] = None) -> List[HitRecord]:
@@ -240,7 +232,6 @@ class TraversalEngine:
         hits: List[HitRecord] = []
         if bvh.num_nodes == 0:
             stats.misses += 1
-            self.stats.merge(stats)
             return hits
 
         soa = self.soa()
@@ -286,7 +277,6 @@ class TraversalEngine:
             stats.hits += 1
         else:
             stats.misses += 1
-        self.stats.merge(stats)
         return hits
 
     # ------------------------------------------------------ fast axis-aligned path
@@ -337,7 +327,6 @@ class TraversalEngine:
         stats.rays_cast += 1
         if self._bvh.num_nodes == 0:
             stats.misses += 1
-            self.stats.merge(stats)
             return []
 
         (
@@ -428,15 +417,12 @@ class TraversalEngine:
                 stats.hits += 1
             else:
                 stats.misses += 1
-            self.stats.merge(stats)
             return collected
 
         if best_record is not None:
             stats.hits += 1
-            self.stats.merge(stats)
             return [best_record]
         stats.misses += 1
-        self.stats.merge(stats)
         return []
 
     def trace_axis_closest(
@@ -473,14 +459,15 @@ class TraversalEngine:
             tmax = np.full(origins.shape[0], np.inf, dtype=np.float64)
         else:
             tmax = np.asarray(tmax, dtype=np.float64)
-        delta = RayStats()
-        result = wavefront.trace_axis_batch(
-            self.soa(), axis, origins, tmax, self.AXIS_HIT_TOLERANCE, collect_all, delta
+        return wavefront.trace_axis_batch(
+            self.soa(),
+            axis,
+            origins,
+            tmax,
+            self.AXIS_HIT_TOLERANCE,
+            collect_all,
+            stats if stats is not None else RayStats(),
         )
-        if stats is not None:
-            stats.merge(delta)
-        self.stats.merge(delta)
-        return result
 
     def trace_axis_closest_batch(
         self,
@@ -511,15 +498,15 @@ class TraversalEngine:
         """
         return self._trace_axis_batch(axis, origins, tmax, True, stats)
 
-    def locate_buckets_batch(self, params, keys: np.ndarray, stats: RayStats):
+    def locate_buckets_batch(self, params, keys: np.ndarray, stats: Optional[RayStats]):
         """cgRX bucket location of a key batch in one compiled kernel call.
 
         Runs each key's whole ray sequence (see
         :func:`repro.rtx.compiled.locate_buckets`) and returns
         ``(bucket_ids, nodes_visited)``, or ``None`` when the compiled tier
         cannot serve this tree (the caller stages the rays on the vector
-        engine instead).  ``stats`` and :attr:`stats` accumulate the same
-        totals as tracing every ray one by one.
+        engine instead).  ``stats`` accumulates the same totals as tracing
+        every ray one by one.
         """
         if not self._bvh.num_nodes:
             return None
@@ -533,31 +520,9 @@ class TraversalEngine:
         located = compiled.locate_buckets(
             tables, params, keys, self.AXIS_HIT_TOLERANCE, delta
         )
-        if located is not None:
+        if located is not None and stats is not None:
             stats.merge(delta)
-            self.stats.merge(delta)
         return located
-
-    def trace_closest_batch(
-        self,
-        rays: Sequence[Ray],
-        stats: Optional[RayStats] = None,
-    ) -> List[HitRecord]:
-        """Closest hits of a batch of arbitrary rays via the wavefront path.
-
-        The slab tests run vectorized over the active ray front; results and
-        counters match :meth:`trace_closest` applied per ray.
-        """
-        from repro.rtx import wavefront
-
-        delta = RayStats()
-        records = wavefront.trace_closest_batch(
-            self.soa(), self._vertices, self._primitive_indices, rays, delta
-        )
-        if stats is not None:
-            stats.merge(delta)
-        self.stats.merge(delta)
-        return records
 
 
 #: For each ray axis, the two perpendicular axes checked by the fast path.

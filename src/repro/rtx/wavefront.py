@@ -1,15 +1,18 @@
-"""Wavefront (batched) BVH traversal over structure-of-arrays node tables.
+"""Wavefront (batched) traversal of axis-aligned rays over SoA node tables.
 
-The scalar traversal paths in :mod:`repro.rtx.traversal` process one ray at a
-time: every node visit pays Python interpreter overhead and (on the general
-path) allocates small numpy temporaries inside ``_slab_test``.  The index
-structures, however, fire rays in *batches* of thousands — exactly the shape
-the RT hardware consumes — so this module provides the vectorized equivalent:
-all rays of a batch advance through the BVH in lockstep, one step per
-iteration, with an active-ray mask selecting the rays that still have stack
-entries.  Per step, every active ray pops the top of its own traversal stack
-and the bounding-volume tests for the whole front are evaluated as single
-numpy expressions over gathered node rows.
+The scalar axis-aligned fast path in :mod:`repro.rtx.traversal` processes
+one ray at a time, so every node visit pays Python interpreter overhead.  The
+index structures, however, fire rays in *batches* of thousands — exactly the
+shape the RT hardware consumes — so this module provides the vectorized
+equivalent: all rays of a batch advance through the BVH in lockstep, one step
+per iteration, with an active-ray mask selecting the rays that still have
+stack entries.  Per step, every active ray pops the top of its own traversal
+stack and the bounding-volume tests for the whole front are evaluated as
+single numpy expressions over gathered node rows.
+
+It serves two callers: the vector engine's staged cgRX bucket location (one
+closest-hit launch per ray stage) and RX's all-hits range batches.
+General-direction rays only run on the scalar path.
 
 Bit-parity contract
 -------------------
@@ -26,13 +29,12 @@ and the test suite pins the equivalence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
 from repro.obs import profile as _profile
 from repro.rtx.bvh import Bvh
-from repro.rtx.geometry import HitRecord, Ray, ray_triangles_intersect
 
 #: For each ray axis, the two perpendicular axes checked by the fast path
 #: (mirrors ``traversal._PERP_AXES``).
@@ -40,16 +42,16 @@ _PERP_AXES = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
 
 class SoaBvh:
-    """Contiguous SoA views of a BVH, built once and shared by all batches.
+    """Contiguous SoA views of a BVH, built once per traversal engine.
 
     The scalar fast path rebuilds Python list tables per engine; the wavefront
-    kernels instead gather directly from these float64/int64 arrays.  The
-    float64 promotion matches the scalar paths, which convert the float32 node
-    bounds to Python floats (i.e. doubles) before comparing.
+    kernels (and the general path's slab tests) instead gather directly from
+    these float64/int64 arrays.  The float64 promotion matches the scalar
+    paths, which convert the float32 node bounds to Python floats (i.e.
+    doubles) before comparing.
     """
 
     def __init__(self, bvh: Bvh) -> None:
-        self.bvh = bvh
         self.num_nodes = bvh.num_nodes
         self.node_min = np.ascontiguousarray(bvh.node_min.astype(np.float64))
         self.node_max = np.ascontiguousarray(bvh.node_max.astype(np.float64))
@@ -78,62 +80,6 @@ class SoaBvh:
         )
         self.primitive_indices = np.asarray(scene.primitive_indices, dtype=np.int64)
         self.flipped = np.asarray(scene.flipped, dtype=bool)
-
-
-@dataclass
-class RayBatch:
-    """Pre-stacked SoA arrays describing a batch of arbitrary-direction rays.
-
-    :func:`trace_closest_batch` historically rebuilt these arrays from Ray
-    objects with per-ray list comprehensions on every call; callers that
-    already hold stacked arrays pass a ``RayBatch`` instead and skip that
-    Python churn entirely.  ``from_rays`` keeps the Ray-object path as a thin
-    adapter, and :meth:`ray` materialises a single Ray on demand for the
-    (rare) leaf intersection tests.
-    """
-
-    #: Ray origins, ``(R, 3)`` float64.
-    origins: np.ndarray
-    #: Ray directions, ``(R, 3)`` float64.
-    directions: np.ndarray
-    #: Per-ray minimum hit distance, ``(R,)`` float64.
-    tmin: np.ndarray
-    #: Per-ray maximum hit distance, ``(R,)`` float64.
-    tmax: np.ndarray
-
-    @classmethod
-    def from_rays(cls, rays: Sequence[Ray]) -> "RayBatch":
-        """Stack Ray objects into SoA form (the adapter the legacy path uses)."""
-        return cls(
-            origins=np.stack([ray.origin.astype(np.float64) for ray in rays])
-            if len(rays)
-            else np.zeros((0, 3), dtype=np.float64),
-            directions=np.stack([ray.direction.astype(np.float64) for ray in rays])
-            if len(rays)
-            else np.zeros((0, 3), dtype=np.float64),
-            tmin=np.asarray([ray.tmin for ray in rays], dtype=np.float64),
-            tmax=np.asarray([ray.tmax for ray in rays], dtype=np.float64),
-        )
-
-    @property
-    def num_rays(self) -> int:
-        return int(self.tmin.shape[0])
-
-    def ray(self, index: int) -> Ray:
-        """Materialise ray ``index`` as a Ray object."""
-        return Ray(
-            self.origins[index],
-            self.directions[index],
-            float(self.tmin[index]),
-            float(self.tmax[index]),
-        )
-
-    def __len__(self) -> int:
-        return self.num_rays
-
-    def __iter__(self):
-        for index in range(self.num_rays):
-            yield self.ray(index)
 
 
 @dataclass
@@ -397,134 +343,3 @@ def trace_axis_batch(
         point=point,
         nodes_visited=nodes_visited,
     )
-
-
-def trace_closest_batch(
-    soa: SoaBvh,
-    vertices: np.ndarray,
-    primitive_indices: np.ndarray,
-    rays: "Sequence[Ray] | RayBatch",
-    stats,
-) -> List[HitRecord]:
-    """General wavefront closest-hit traversal for arbitrary-direction rays.
-
-    The slab (ray/AABB) tests — the part of the scalar path that allocates
-    numpy temporaries per node — are evaluated vectorized across the whole
-    active front; the (rare) leaf intersection tests reuse the exact scalar
-    triangle routine per ray, which keeps the hit records and
-    :class:`~repro.rtx.traversal.RayStats` totals bit-identical to
-    ``trace_closest``.
-
-    ``rays`` is either a sequence of Ray objects or a pre-stacked
-    :class:`RayBatch` — the fast path, which skips the per-ray stacking
-    comprehensions entirely.
-    """
-    if isinstance(rays, RayBatch):
-        batch = rays
-
-        def leaf_ray(ray_id: int) -> Ray:
-            return batch.ray(ray_id)
-
-    else:
-
-        def leaf_ray(ray_id: int) -> Ray:
-            return rays[ray_id]
-
-        batch = RayBatch.from_rays(rays)
-    num_rays = batch.num_rays
-    stats.rays_cast += num_rays
-    records = [HitRecord() for _ in range(num_rays)]
-    if num_rays == 0:
-        return records
-    if soa.num_nodes == 0:
-        stats.misses += num_rays
-        return records
-
-    origins = batch.origins
-    directions = batch.directions
-    parallel = np.abs(directions) < 1e-12
-    with np.errstate(divide="ignore"):
-        inv_dir = np.where(parallel, np.inf, 1.0 / directions)
-    tmin = batch.tmin
-    best_t = batch.tmax.astype(np.float64, copy=True)
-
-    stack = np.zeros((num_rays, soa.stack_depth), dtype=np.int64)
-    pointer = np.ones(num_rays, dtype=np.int64)
-
-    iterations = 0
-    lane_steps = 0
-    active = np.nonzero(pointer > 0)[0]
-    while active.size:
-        iterations += 1
-        lane_steps += int(active.size)
-        pointer[active] -= 1
-        node = stack[active, pointer[active]]
-        stats.nodes_visited += int(active.size)
-        stats.aabb_tests += int(active.size)
-
-        node_min = soa.node_min[node]
-        node_max = soa.node_max[node]
-        ray_origin = origins[active]
-        ray_inv = inv_dir[active]
-        ray_parallel = parallel[active]
-        with np.errstate(invalid="ignore"):
-            t0 = (node_min - ray_origin) * ray_inv
-            t1 = (node_max - ray_origin) * ray_inv
-            t_small = np.minimum(t0, t1)
-            t_big = np.maximum(t0, t1)
-        inside = (ray_origin >= node_min) & (ray_origin <= node_max)
-        parallel_miss = (ray_parallel & ~inside).any(axis=1)
-        t_small = np.where(ray_parallel, -np.inf, t_small)
-        t_big = np.where(ray_parallel, np.inf, t_big)
-        t_near = np.maximum(t_small.max(axis=1), tmin[active])
-        t_far = np.minimum(t_big.min(axis=1), best_t[active])
-        passes = ~parallel_miss & (t_near <= t_far)
-
-        counts = soa.node_count[node]
-        leaf = np.nonzero(passes & (counts > 0))[0]
-        for offset in leaf:
-            ray_id = int(active[offset])
-            ray = leaf_ray(ray_id)
-            local = soa.bvh.leaf_primitive_indices(int(node[offset]))
-            stats.triangle_tests += len(local)
-            hit_mask, t_values, front = ray_triangles_intersect(
-                Ray(ray.origin, ray.direction, ray.tmin, float(best_t[ray_id])),
-                vertices[local],
-            )
-            if hit_mask.any():
-                hit_positions = np.nonzero(hit_mask)[0]
-                best_local = hit_positions[np.argmin(t_values[hit_positions])]
-                t = float(t_values[best_local])
-                if t < best_t[ray_id]:
-                    best_t[ray_id] = t
-                    scene_tri = int(local[best_local])
-                    records[ray_id] = HitRecord(
-                        hit=True,
-                        t=t,
-                        primitive_index=int(primitive_indices[scene_tri]),
-                        front_face=bool(front[best_local]),
-                        point=ray.origin + t * ray.direction,
-                    )
-
-        inner = np.nonzero(passes & (counts == 0))[0]
-        if inner.size:
-            inner_rays = active[inner]
-            inner_nodes = node[inner]
-            top = pointer[inner_rays]
-            # Scalar order: push left, then right (right is popped first).
-            stack[inner_rays, top] = soa.node_left[inner_nodes]
-            stack[inner_rays, top + 1] = soa.node_right[inner_nodes]
-            pointer[inner_rays] = top + 2
-
-        active = active[pointer[active] > 0]
-
-    prof = _profile.profiler()
-    if prof is not None:
-        prof.observe_wavefront("trace_closest_batch", iterations, num_rays, lane_steps)
-
-    for record in records:
-        if record.hit:
-            stats.hits += 1
-        else:
-            stats.misses += 1
-    return records

@@ -4,9 +4,8 @@ The scalar paths remain the reference oracle.  Everything here drives the
 same workloads through ``engine="compiled"`` and asserts **byte-identical
 results and identical instrumentation counters**, exactly like the vector
 suite — plus the compiled-tier-specific contracts: quantized AABBs rounded
-conservatively outward, shard-local arenas rebuilt in place, graceful
-degradation to the vector engine when no backend exists, and the
-``RayBatch`` pre-stacked fast path of the wavefront tracer.
+conservatively outward, shard-local arenas rebuilt in place, and graceful
+degradation to the vector engine when no backend exists.
 
 Backend handling: the suite runs against the C backend when a system C
 compiler is available.  Tests that need a *specific* backend setting pin it
@@ -26,10 +25,8 @@ from repro.core.index import CgRXIndex
 from repro.core.updatable import CgRXuIndex
 from repro.rtx import compiled
 from repro.rtx.bvh import BvhBuildConfig, build_bvh
-from repro.rtx.geometry import Ray
 from repro.rtx.scene import TriangleScene, VertexBuffer
 from repro.rtx.traversal import RayStats, TraversalEngine
-from repro.rtx.wavefront import RayBatch
 from repro.workloads.keygen import generate_keys
 from repro.workloads.lookups import hit_miss_lookups, range_lookups
 from repro.workloads.updates import update_waves
@@ -108,11 +105,7 @@ def scalar_locate(representation, keys):
 
 def fused_locate(representation, keys):
     stats = RayStats()
-    representation.pipeline.batch_engine = "compiled"
-    try:
-        buckets, nodes = representation.locate_bucket_batch(keys, stats)
-    finally:
-        representation.pipeline.batch_engine = "vector"
+    buckets, nodes = representation.locate_bucket_batch(keys, stats, "compiled")
     return buckets, nodes, stats
 
 
@@ -155,7 +148,7 @@ def test_megakernel_empty_scene_falls_back_cleanly(monkeypatch):
     engine = TraversalEngine(build_bvh(TriangleScene.from_triangles([])))
     stats = RayStats()
     assert engine.locate_buckets_batch(None, np.zeros(3, np.uint64), stats) is None
-    assert stats == RayStats() and engine.stats == RayStats()
+    assert stats == RayStats()
 
     keyset = generate_keys(512, uniformity=0.5, key_bits=32, seed=5)
     lookups = hit_miss_lookups(keyset, 128, miss_fraction=0.3, seed=6)
@@ -184,7 +177,11 @@ def test_cc_backend_kernels_match_scalar(pinned_backend):
     scalar = CgRXuIndex(keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=64, engine="scalar"))
     comp = CgRXuIndex(keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=64, engine="compiled"))
     assert_point_identical(scalar.point_lookup_batch(lookups), comp.point_lookup_batch(lookups))
-    assert_stats_identical(scalar.pipeline.lifetime_stats, comp.pipeline.lifetime_stats)
+    scalar_stats, comp_stats = RayStats(), RayStats()
+    scalar.representation.locate_bucket_batch(lookups, scalar_stats, "scalar")
+    comp.representation.locate_bucket_batch(lookups, comp_stats, "compiled")
+    assert scalar_stats.rays_cast > 0
+    assert_stats_identical(scalar_stats, comp_stats)
 
 
 # --------------------------------------------------------------------------
@@ -443,55 +440,3 @@ def test_compiled_arena_reported_in_serve_footprint():
     assert arena_entries and all(size > 0 for size in arena_entries.values())
     snapshot = served.maintenance.snapshot()
     assert snapshot["compiled_arena_bytes"] == sum(arena_entries.values())
-
-
-# --------------------------------------------------------------------------
-# RayBatch fast path of the wavefront tracer
-# --------------------------------------------------------------------------
-
-
-def build_engines(points, leaf_size=4):
-    engines = []
-    for _ in range(2):
-        buffer = VertexBuffer()
-        for slot, (x, y, z) in enumerate(points):
-            buffer.write_key_triangle(slot, float(x), float(y), float(z))
-        scene = TriangleScene.from_vertex_buffer(buffer)
-        engines.append(TraversalEngine(build_bvh(scene, BvhBuildConfig(max_leaf_size=leaf_size))))
-    return engines
-
-
-def test_ray_batch_matches_ray_objects(rng):
-    points = [tuple(point) for point in rng.integers(0, 15, size=(90, 3))]
-    object_engine, batch_engine = build_engines(points, leaf_size=3)
-    rays = []
-    for _ in range(48):
-        origin = rng.uniform(-1.0, 16.0, 3)
-        direction = rng.normal(size=3)
-        limit = float(np.inf if rng.random() < 0.7 else rng.uniform(0.0, 25.0))
-        rays.append(Ray(origin=origin, direction=direction, tmax=limit))
-    batch = RayBatch.from_rays(rays)
-    assert batch.num_rays == len(rays) == len(batch)
-
-    object_stats = RayStats()
-    object_hits = object_engine.trace_closest_batch(rays, object_stats)
-    batch_stats = RayStats()
-    batch_hits = batch_engine.trace_closest_batch(batch, batch_stats)
-
-    assert dataclasses.asdict(object_stats) == dataclasses.asdict(batch_stats)
-    for object_record, batch_record in zip(object_hits, batch_hits):
-        assert bool(object_record) == bool(batch_record)
-        if object_record:
-            assert object_record.primitive_index == batch_record.primitive_index
-            assert object_record.t == batch_record.t
-            assert object_record.front_face == batch_record.front_face
-
-
-def test_ray_batch_roundtrip_and_empty():
-    empty = RayBatch.from_rays([])
-    assert empty.num_rays == 0 and list(empty) == []
-    rays = [Ray(origin=(1.0, 2.0, 3.0), direction=(0.0, 1.0, 0.0), tmax=5.0)]
-    batch = RayBatch.from_rays(rays)
-    restored = batch.ray(0)
-    assert np.array_equal(restored.origin, np.asarray(rays[0].origin, dtype=np.float64))
-    assert restored.tmax == 5.0

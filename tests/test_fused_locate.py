@@ -6,8 +6,7 @@ C call that runs the key's whole cgRX ray sequence.  The scalar
 wavefront launch per ray stage) the second reference: across a grid of key
 widths, scene representations, bucket sizes, key distributions and seeds,
 all three must agree on bucket ids and per-key node visits, and the fused
-call must feed identical totals to every ``RayStats`` sink (the caller's,
-the pipeline's lifetime stats, the traversal engine's) and the same
+call must feed identical totals to the caller's ``RayStats`` and the same
 per-launch profiler series the staged engine reports.
 
 The second half pins the vectorised range post-filter of
@@ -72,27 +71,15 @@ def probes_for(keyset, key_bits, seed):
 
 
 def run_batch(representation, keys, engine):
-    """One batched locate on ``engine``: ids, nodes, caller stats, the
-    lifetime/engine stats deltas and the profiler's wavefront series."""
-    pipeline = representation.pipeline
-    lifetime = pipeline.lifetime_stats.copy()
-    traversal = pipeline._require_engine().stats.copy()
+    """One batched locate on ``engine``: ids, nodes, caller stats and the
+    profiler's wavefront series."""
     stats = RayStats()
     profile = enable_profiling()
-    pipeline.batch_engine = engine
     try:
-        bucket_ids, nodes = representation.locate_bucket_batch(keys, stats)
+        bucket_ids, nodes = representation.locate_bucket_batch(keys, stats, engine)
     finally:
-        pipeline.batch_engine = "vector"
         disable_profiling()
-    lifetime_delta = delta(pipeline.lifetime_stats, lifetime)
-    traversal_delta = delta(pipeline._require_engine().stats, traversal)
-    return bucket_ids, nodes, stats, lifetime_delta, traversal_delta, wavefront_series(profile)
-
-
-def delta(after: RayStats, before: RayStats) -> dict:
-    now = dataclasses.asdict(after)
-    return {name: now[name] - value for name, value in dataclasses.asdict(before).items()}
+    return bucket_ids, nodes, stats, wavefront_series(profile)
 
 
 def wavefront_series(profile) -> dict:
@@ -141,15 +128,13 @@ def test_fused_locate_matches_scalar_and_vector(
 
     vector = run_batch(rep, probes, "vector")
     fused = run_batch(rep, probes, "compiled")
-    for ids, nodes, stats, lifetime, traversal, _ in (vector, fused):
+    for ids, nodes, stats, _ in (vector, fused):
         np.testing.assert_array_equal(ids, scalar_ids)
         np.testing.assert_array_equal(nodes, scalar_nodes)
         assert ids.dtype == nodes.dtype == np.int64
         assert dataclasses.asdict(stats) == scalar_totals
-        assert lifetime == scalar_totals
-        assert traversal == scalar_totals
-    fused_series = relabel(fused[5], "compiled_axis_closest")
-    assert fused_series == relabel(vector[5], "trace_axis_batch")
+    fused_series = relabel(fused[3], "compiled_axis_closest")
+    assert fused_series == relabel(vector[3], "trace_axis_batch")
     assert fused_series["rtx_wavefront_rays_total"] == scalar_stats.rays_cast
 
 
@@ -164,17 +149,15 @@ def test_fused_locate_out_of_range_and_empty_batches(key_bits, representation):
     top = (1 << key_bits) - 1
     below = np.arange(0, min(low, 8), dtype=dtype)
     above = np.array([high + 1, top], dtype=dtype)
-    ids, nodes, stats, lifetime, traversal, series = run_batch(
-        rep, np.concatenate([below, above]), "compiled"
-    )
+    ids, nodes, stats, series = run_batch(rep, np.concatenate([below, above]), "compiled")
     np.testing.assert_array_equal(ids, [0] * below.size + [-1, -1])
     assert not nodes.any()
-    assert stats == RayStats() and not any(lifetime.values()) and not any(traversal.values())
+    assert stats == RayStats()
     assert series == {}
 
-    ids, nodes, stats, lifetime, _, series = run_batch(rep, np.empty(0, dtype=dtype), "compiled")
+    ids, nodes, stats, series = run_batch(rep, np.empty(0, dtype=dtype), "compiled")
     assert ids.shape == nodes.shape == (0,)
-    assert stats == RayStats() and not any(lifetime.values()) and series == {}
+    assert stats == RayStats() and series == {}
 
 
 def test_fused_locate_scene_shapes_are_covered():

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +39,64 @@ def test_setup_reads_the_package_version(tmp_path):
         check=True,
     )
     assert completed.stdout.strip() == repro.__version__
+
+
+def declared_requirements(tmp_path) -> dict:
+    """``install_requires`` and ``extras_require`` as ``setup.py`` passes them,
+    read through a stand-in ``setuptools``."""
+    (tmp_path / "setuptools.py").write_text(
+        "import json\n"
+        "def find_packages(**kwargs):\n"
+        "    return []\n"
+        "def setup(**kwargs):\n"
+        "    print(json.dumps({'install_requires': kwargs.get('install_requires', []),\n"
+        "                      'extras_require': kwargs.get('extras_require', {})}))\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, str(ROOT / "setup.py")],
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(tmp_path)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(completed.stdout)
+
+
+def imported_top_level_modules(directory: Path) -> set:
+    """Top-level names of every absolute import in ``directory``'s modules."""
+    names = set()
+    for path in directory.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "stdlib_module_names"), reason="needs sys.stdlib_module_names"
+)
+def test_test_suites_import_only_declared_dependencies(tmp_path):
+    """Every third-party module the test suites import is declared in
+    ``install_requires`` or the ``test`` extra, so an environment installed
+    from ``setup.py`` (as CI's is) can collect every test module."""
+    declared = declared_requirements(tmp_path)
+    requirements = declared["install_requires"] + declared["extras_require"]["test"]
+    distributions = {
+        re.split(r"[<>=!~\[; ]", requirement, maxsplit=1)[0].lower().replace("-", "_")
+        for requirement in requirements
+    }
+    first_party = {"repro", "perfbench", "tests"}
+    for directory in (ROOT / "tests", ROOT / "perfbench"):
+        first_party.update(path.stem for path in directory.glob("*.py"))
+    imported = set()
+    for directory in (ROOT / "tests", ROOT / "perfbench" / "tests"):
+        imported |= imported_top_level_modules(directory)
+    third_party = imported - set(sys.stdlib_module_names) - first_party
+    assert {"numpy", "pytest", "hypothesis"} <= third_party
+    assert third_party <= distributions, sorted(third_party - distributions)
 
 
 def test_bench_cli_rejects_unknown_experiment_before_running(monkeypatch, capsys):

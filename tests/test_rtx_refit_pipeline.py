@@ -10,6 +10,7 @@ from repro.rtx.geometry import Ray, make_key_triangle
 from repro.rtx.pipeline import RaytracingPipeline
 from repro.rtx.refit import refit_bvh, total_overlap_area
 from repro.rtx.scene import TriangleScene, VertexBuffer
+from repro.rtx.traversal import RayStats
 
 
 def make_pipeline(points, leaf_size=2):
@@ -93,23 +94,13 @@ class TestPipeline:
 
     def test_stats_accumulate_over_lifetime(self):
         pipeline = make_pipeline([(3, 0, 0)])
-        pipeline.cast_axis_closest(0, (-0.5, 0.0, 0.0))
-        pipeline.cast_axis_closest(0, (-0.5, 1.0, 0.0))
-        assert pipeline.lifetime_stats.rays_cast == 2
-        assert pipeline.lifetime_stats.hits == 1
-        assert pipeline.lifetime_stats.misses == 1
-
-    def test_launch_closest_batches_rays(self):
-        pipeline = make_pipeline([(3, 0, 0), (7, 1, 0)])
-        rays = [
-            Ray(origin=[-0.5, 0.0, 0.0], direction=[1.0, 0.0, 0.0]),
-            Ray(origin=[-0.5, 1.0, 0.0], direction=[1.0, 0.0, 0.0]),
-            Ray(origin=[-0.5, 2.0, 0.0], direction=[1.0, 0.0, 0.0]),
-        ]
-        result = pipeline.launch_closest(rays)
-        assert len(result.hits) == 3
-        assert result.stats.rays_cast == 3
-        assert result.stats.hits == 2
+        stats = RayStats()
+        pipeline.cast_axis_closest(0, (-0.5, 0.0, 0.0), stats=stats)
+        pipeline.cast_axis_closest(0, (-0.5, 1.0, 0.0), stats=stats)
+        pipeline.cast_closest(Ray(origin=[-0.5, 0.0, 0.0], direction=[1.0, 0.0, 0.0]), stats)
+        assert stats.rays_cast == 3
+        assert stats.hits == 2
+        assert stats.misses == 1
 
     def test_update_requires_prior_build(self):
         pipeline = RaytracingPipeline()

@@ -16,11 +16,10 @@ import pytest
 
 from repro.baselines.rx import RXIndex
 from repro.baselines.sorted_array import SortedArrayIndex
-from repro.core.config import CgRXConfig, CgRXuConfig
+from repro.core.config import CgRXConfig, CgRXuConfig, Representation
 from repro.core.index import CgRXIndex
 from repro.core.updatable import CgRXuIndex
 from repro.rtx.bvh import BvhBuildConfig, build_bvh
-from repro.rtx.geometry import Ray
 from repro.rtx.scene import TriangleScene, VertexBuffer
 from repro.rtx.traversal import RayStats, TraversalEngine
 from repro.serve.router import ShardRouter
@@ -56,24 +55,20 @@ def assert_range_identical(scalar, vector) -> None:
 # --------------------------------------------------------------------------
 
 
-def build_engines(points, flipped=None, leaf_size=4):
-    """Two identical engines so scalar and batch runs don't share stats."""
-    engines = []
-    for _ in range(2):
-        buffer = VertexBuffer()
-        flips = flipped or [False] * len(points)
-        for slot, ((x, y, z), flip) in enumerate(zip(points, flips)):
-            buffer.write_key_triangle(slot, float(x), float(y), float(z), flipped=flip)
-        scene = TriangleScene.from_vertex_buffer(buffer)
-        engines.append(TraversalEngine(build_bvh(scene, BvhBuildConfig(max_leaf_size=leaf_size))))
-    return engines
+def build_engine(points, flipped=None, leaf_size=4):
+    buffer = VertexBuffer()
+    flips = flipped or [False] * len(points)
+    for slot, ((x, y, z), flip) in enumerate(zip(points, flips)):
+        buffer.write_key_triangle(slot, float(x), float(y), float(z), flipped=flip)
+    scene = TriangleScene.from_vertex_buffer(buffer)
+    return TraversalEngine(build_bvh(scene, BvhBuildConfig(max_leaf_size=leaf_size)))
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_wavefront_axis_closest_matches_scalar(axis, rng):
     points = [tuple(point) for point in rng.integers(0, 25, size=(150, 3))]
     flips = list(rng.random(len(points)) < 0.3)
-    scalar_engine, batch_engine = build_engines(points, flips)
+    engine = build_engine(points, flips)
     origins = rng.integers(0, 25, size=(96, 3)).astype(np.float64)
     origins[:, axis] -= 0.5
     tmax = np.where(rng.random(96) < 0.5, np.inf, rng.uniform(0.0, 30.0, 96))
@@ -82,13 +77,12 @@ def test_wavefront_axis_closest_matches_scalar(axis, rng):
     hits = []
     for origin, limit in zip(origins, tmax):
         local = RayStats()
-        hits.append(scalar_engine.trace_axis_closest(axis, tuple(origin), float(limit), stats=local))
+        hits.append(engine.trace_axis_closest(axis, tuple(origin), float(limit), stats=local))
         scalar_stats.merge(local)
     batch_stats = RayStats()
-    batch = batch_engine.trace_axis_closest_batch(axis, origins, tmax, stats=batch_stats)
+    batch = engine.trace_axis_closest_batch(axis, origins, tmax, stats=batch_stats)
 
     assert dataclasses.asdict(scalar_stats) == dataclasses.asdict(batch_stats)
-    assert dataclasses.asdict(scalar_engine.stats) == dataclasses.asdict(batch_engine.stats)
     for position, record in enumerate(hits):
         assert bool(record) == bool(batch.hit[position])
         if record:
@@ -101,7 +95,7 @@ def test_wavefront_axis_closest_matches_scalar(axis, rng):
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_wavefront_axis_all_matches_scalar(axis, rng):
     points = [tuple(point) for point in rng.integers(0, 12, size=(120, 3))]
-    scalar_engine, batch_engine = build_engines(points)
+    engine = build_engine(points)
     origins = rng.integers(0, 12, size=(64, 3)).astype(np.float64)
     origins[:, axis] -= 0.5
     tmax = np.full(64, np.inf)
@@ -110,10 +104,10 @@ def test_wavefront_axis_all_matches_scalar(axis, rng):
     all_hits = []
     for origin in origins:
         local = RayStats()
-        all_hits.append(scalar_engine.trace_axis_all(axis, tuple(origin), stats=local))
+        all_hits.append(engine.trace_axis_all(axis, tuple(origin), stats=local))
         scalar_stats.merge(local)
     batch_stats = RayStats()
-    batch = batch_engine.trace_axis_all_batch(axis, origins, tmax, stats=batch_stats)
+    batch = engine.trace_axis_all_batch(axis, origins, tmax, stats=batch_stats)
 
     assert dataclasses.asdict(scalar_stats) == dataclasses.asdict(batch_stats)
     offset = 0
@@ -125,37 +119,6 @@ def test_wavefront_axis_all_matches_scalar(axis, rng):
             assert record.t == batch.t[offset + index]
             assert record.front_face == bool(batch.front_face[offset + index])
         offset += count
-
-
-def test_wavefront_general_closest_matches_scalar(rng):
-    points = [tuple(point) for point in rng.integers(0, 15, size=(90, 3))]
-    scalar_engine, batch_engine = build_engines(points, leaf_size=3)
-    rays = []
-    for _ in range(48):
-        origin = rng.uniform(-1.0, 16.0, 3)
-        direction = rng.normal(size=3)
-        if rng.random() < 0.3:
-            direction[int(rng.integers(0, 3))] = 0.0
-        limit = float(np.inf if rng.random() < 0.7 else rng.uniform(0.0, 25.0))
-        rays.append(Ray(origin=origin, direction=direction, tmax=limit))
-
-    scalar_stats = RayStats()
-    scalar_hits = []
-    for ray in rays:
-        local = RayStats()
-        scalar_hits.append(scalar_engine.trace_closest(ray, local))
-        scalar_stats.merge(local)
-    batch_stats = RayStats()
-    batch_hits = batch_engine.trace_closest_batch(rays, batch_stats)
-
-    assert dataclasses.asdict(scalar_stats) == dataclasses.asdict(batch_stats)
-    for scalar_record, batch_record in zip(scalar_hits, batch_hits):
-        assert bool(scalar_record) == bool(batch_record)
-        if scalar_record:
-            assert scalar_record.primitive_index == batch_record.primitive_index
-            assert scalar_record.t == batch_record.t
-            assert scalar_record.front_face == batch_record.front_face
-            assert np.array_equal(scalar_record.point, batch_record.point)
 
 
 def test_wavefront_empty_scene_and_empty_batch():
@@ -333,50 +296,32 @@ def test_shard_router_scatter_engines_identical(partitioner, rng):
 
 
 def test_representation_base_fallback_matches_wavefront_routing():
-    """The base-class scalar-loop fallback agrees with the wavefront override."""
-    from repro.core.representation import SceneRepresentation
-
-    keyset = generate_keys(512, uniformity=0.6, key_bits=32, seed=59)
-    index = CgRXuIndex(keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=32))
-    lookups = hit_miss_lookups(
-        keyset, 128, miss_fraction=0.3, out_of_range_fraction=0.5, seed=60
-    )
-    fallback_stats = RayStats()
-    fallback_buckets, fallback_nodes = SceneRepresentation.locate_bucket_batch(
-        index.representation, lookups, fallback_stats
-    )
-    batch_stats = RayStats()
-    batch_buckets, batch_nodes = index.representation.locate_bucket_batch(
-        lookups, batch_stats
-    )
-    np.testing.assert_array_equal(fallback_buckets, batch_buckets)
-    np.testing.assert_array_equal(fallback_nodes, batch_nodes)
-    assert dataclasses.asdict(fallback_stats) == dataclasses.asdict(batch_stats)
-
-
-def test_pipeline_launch_closest_engines_identical(rng):
-    points = [tuple(point) for point in rng.integers(0, 10, size=(40, 3))]
-    scalar_engine, batch_engine = build_engines(points)
-    rays = [
-        Ray(origin=rng.uniform(-1.0, 11.0, 3), direction=rng.normal(size=3))
-        for _ in range(16)
-    ]
-    from repro.rtx.pipeline import RaytracingPipeline
-
-    pipelines = []
-    for engine in (scalar_engine, batch_engine):
-        pipeline = RaytracingPipeline()
-        pipeline._bvh = engine.bvh
-        pipeline._engine = engine
-        pipelines.append(pipeline)
-    scalar_launch = pipelines[0].launch_closest(rays, engine="scalar")
-    vector_launch = pipelines[1].launch_closest(rays, engine="vector")
-    assert dataclasses.asdict(scalar_launch.stats) == dataclasses.asdict(vector_launch.stats)
-    for scalar_record, vector_record in zip(scalar_launch.hits, vector_launch.hits):
-        assert bool(scalar_record) == bool(vector_record)
-        if scalar_record:
-            assert scalar_record.primitive_index == vector_record.primitive_index
-            assert scalar_record.t == vector_record.t
+    """The scalar per-key locate loop agrees with the staged wavefront
+    locate on bucket ids, per-key node visits and the caller's stats, for
+    both scene representations and both key widths."""
+    for key_bits in (32, 64):
+        keyset = generate_keys(512, uniformity=0.6, key_bits=key_bits, seed=59)
+        lookups = hit_miss_lookups(
+            keyset, 128, miss_fraction=0.3, out_of_range_fraction=0.5, seed=60
+        )
+        for representation in Representation:
+            index = CgRXuIndex(
+                keyset.keys,
+                keyset.row_ids,
+                CgRXuConfig(key_bits=key_bits, representation=representation),
+            )
+            located = {}
+            for engine in ("scalar", "vector"):
+                stats = RayStats()
+                buckets, nodes = index.representation.locate_bucket_batch(
+                    lookups, stats, engine
+                )
+                located[engine] = (buckets, nodes, dataclasses.asdict(stats))
+            scalar, vector = located["scalar"], located["vector"]
+            np.testing.assert_array_equal(scalar[0], vector[0])
+            np.testing.assert_array_equal(scalar[1], vector[1])
+            assert scalar[0].dtype == vector[0].dtype == np.int64
+            assert scalar[2] == vector[2] and scalar[2]["rays_cast"] > 0
 
 
 def test_engine_validation():
