@@ -17,9 +17,8 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.baselines.base import GpuIndex, UnsupportedOperation
+from repro.baselines.base import GpuIndex
 from repro.baselines.btree import BPlusTreeIndex
-from repro.baselines.fullscan import FullScanIndex
 from repro.baselines.hash_table import HashTableIndex
 from repro.baselines.rtscan import RTScanIndex
 from repro.baselines.rx import RXIndex
@@ -42,10 +41,10 @@ from repro.bench.metrics import (
     throughput_per_footprint,
     time_per_lookup_ms,
 )
-from repro.core.config import CgRXConfig, CgRXuConfig, Representation
+from repro.core.config import CgRXuConfig, Representation
 from repro.core.index import CgRXIndex
 from repro.core.updatable import CgRXuIndex
-from repro.gpu.device import RTX_4090, RTX_A6000, GpuDevice
+from repro.gpu.device import RTX_4090, GpuDevice
 from repro.workloads.keygen import DISTRIBUTIONS, KeySet, generate_distribution, generate_keys
 from repro.workloads.lookups import (
     hit_miss_lookups,
@@ -169,7 +168,7 @@ def figure_01_rx_limitations(
     base = generate_keys(max(sizes), uniformity=1.0, key_bits=32, seed=seed)
     lookups = uniform_lookups(base, num_lookups, seed=seed + 1)
     for updates in update_counts:
-        index = RXIndex(base.keys, base.row_ids, key_bits=32)
+        index = rx_factory()(base, RTX_4090)
         if updates:
             rng = np.random.default_rng(seed + updates)
             delete_keys = rng.choice(base.keys, size=updates, replace=False)
@@ -213,8 +212,7 @@ def figure_09_key_mapping_scaling(
     keyset = generate_keys(num_keys, uniformity=1.0, key_bits=key_bits, seed=seed)
     lookups = uniform_lookups(keyset, num_lookups, seed=seed + 1)
     for label, scaled in (("unscaled", False), ("scaled", True)):
-        config = CgRXConfig(bucket_size=bucket_size, key_bits=key_bits, scaled_mapping=scaled)
-        index = CgRXIndex(keyset.keys, keyset.row_ids, config)
+        index = cgrx_factory(bucket_size, scaled_mapping=scaled)(keyset)
         lookup = index.point_lookup_batch(lookups)
         result.add(
             mapping=label,
@@ -254,12 +252,7 @@ def figure_10_naive_vs_optimized(
             lookups = uniform_lookups(keyset, num_lookups, seed=seed + 1)
             for bucket_size in bucket_sizes:
                 for representation in (Representation.NAIVE, Representation.OPTIMIZED):
-                    config = CgRXConfig(
-                        bucket_size=bucket_size,
-                        key_bits=key_bits,
-                        representation=representation,
-                    )
-                    index = CgRXIndex(keyset.keys, keyset.row_ids, config)
+                    index = cgrx_factory(bucket_size, representation=representation)(keyset)
                     lookup = index.point_lookup_batch(lookups)
                     result.add(
                         key_bits=key_bits,
@@ -311,8 +304,7 @@ def figure_11_bucket_size_robustness(
             times: Dict[int, float] = {}
             ratios: Dict[int, float] = {}
             for bucket_size in bucket_sizes:
-                config = CgRXConfig(bucket_size=bucket_size, key_bits=key_bits)
-                index = CgRXIndex(keyset.keys, keyset.row_ids, config, device=device)
+                index = cgrx_factory(bucket_size)(keyset, device)
                 lookup = index.point_lookup_batch(lookups)
                 time_ms = index.lookup_time_ms(lookup)
                 times[bucket_size] = time_ms

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -156,12 +158,42 @@ def format_table(rows: Sequence[dict], float_format: str = "{:.4g}") -> str:
 #: Signature of an index factory: (keyset, device) -> index.
 IndexFactory = Callable[[KeySet, GpuDevice], GpuIndex]
 
+#: Batch engine that :func:`engine_override` imposes on the cgRX, cgRXu and RX
+#: factories (``None``: each index keeps its configured default).
+_ENGINE_OVERRIDE: ContextVar[Optional[str]] = ContextVar("engine_override", default=None)
+
+
+@contextmanager
+def engine_override(engine: str) -> Iterator[None]:
+    """Build every cgRX/cgRXu/RX index the factories create inside the block
+    with batch engine ``engine``.
+
+    The paper's figures must not depend on the engine; this is how the tests
+    regenerate them under ``scalar``, ``vector`` and ``compiled``.  A factory
+    given an explicit ``engine=`` keyword keeps it.
+    """
+    token = _ENGINE_OVERRIDE.set(engine)
+    try:
+        yield
+    finally:
+        _ENGINE_OVERRIDE.reset(token)
+
+
+def _with_engine(kwargs: Dict[str, object]) -> Dict[str, object]:
+    """``kwargs`` plus the active :func:`engine_override`, if any."""
+    engine = _ENGINE_OVERRIDE.get()
+    if engine is None:
+        return kwargs
+    return {"engine": engine, **kwargs}
+
 
 def cgrx_factory(bucket_size: int = 32, **config_kwargs: object) -> IndexFactory:
     """Factory for a cgRX configuration."""
 
     def build(keyset: KeySet, device: GpuDevice = RTX_4090) -> GpuIndex:
-        config = CgRXConfig(bucket_size=bucket_size, key_bits=keyset.key_bits, **config_kwargs)
+        config = CgRXConfig(
+            bucket_size=bucket_size, key_bits=keyset.key_bits, **_with_engine(config_kwargs)
+        )
         return CgRXIndex(keyset.keys, keyset.row_ids, config, device=device)
 
     return build
@@ -171,7 +203,9 @@ def cgrxu_factory(node_bytes: int = 128, **config_kwargs: object) -> IndexFactor
     """Factory for a cgRXu configuration."""
 
     def build(keyset: KeySet, device: GpuDevice = RTX_4090) -> GpuIndex:
-        config = CgRXuConfig(node_bytes=node_bytes, key_bits=keyset.key_bits, **config_kwargs)
+        config = CgRXuConfig(
+            node_bytes=node_bytes, key_bits=keyset.key_bits, **_with_engine(config_kwargs)
+        )
         return CgRXuIndex(keyset.keys, keyset.row_ids, config, device=device)
 
     return build
@@ -179,7 +213,9 @@ def cgrxu_factory(node_bytes: int = 128, **config_kwargs: object) -> IndexFactor
 
 def rx_factory(**kwargs: object) -> IndexFactory:
     def build(keyset: KeySet, device: GpuDevice = RTX_4090) -> GpuIndex:
-        return RXIndex(keyset.keys, keyset.row_ids, key_bits=keyset.key_bits, device=device, **kwargs)
+        return RXIndex(
+            keyset.keys, keyset.row_ids, key_bits=keyset.key_bits, device=device, **_with_engine(kwargs)
+        )
 
     return build
 
