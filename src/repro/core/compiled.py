@@ -93,3 +93,75 @@ def chain_walk_batch(
         entries,
     )
     return row_sum, matches, nodes_visited, entries
+
+
+def apply_updates(
+    storage,
+    overflow_bucket: int,
+    buckets: np.ndarray,
+    deletes_lo: np.ndarray,
+    deletes_hi: np.ndarray,
+    inserts_lo: np.ndarray,
+    inserts_hi: np.ndarray,
+    delete_keys: np.ndarray,
+    insert_keys: np.ndarray,
+    insert_row_ids: np.ndarray,
+) -> Optional[Tuple[int, int, np.ndarray]]:
+    """Apply a sorted, cancelled update batch to ``storage`` in one C call.
+
+    ``buckets`` lists the touched buckets in ascending order and the four
+    slice arrays give each one's half-open ranges into ``delete_keys`` and
+    ``insert_keys``.  Returns ``(inserted, deleted, work)`` with ``work[i]``
+    the nodes visited by ``buckets[i]``'s thread, exactly as
+    ``CgRXuIndex._apply_slices`` would, or ``None`` when no compiled backend
+    is available.
+
+    When a split finds the linked region full, the kernel stops before that
+    insert and hands back its cursor; the slab is doubled with
+    ``_grow_linked_region`` (new arrays, so the pointers are fetched again)
+    and the kernel resumes where it stopped.
+    """
+    kernels = backend_kernels()
+    if kernels is None:
+        return None
+    apply_kernel = kernels[2]
+
+    slices = [
+        np.ascontiguousarray(column, dtype=np.int64)
+        for column in (buckets, deletes_lo, deletes_hi, inserts_lo, inserts_hi)
+    ]
+    delete64 = np.ascontiguousarray(delete_keys, dtype=np.uint64)
+    insert64 = np.ascontiguousarray(insert_keys, dtype=np.uint64)
+    insert_rows = np.ascontiguousarray(insert_row_ids, dtype=np.uint32)
+    free_nodes = np.asarray(storage._free_nodes, dtype=np.int64)
+    # [linked_used, free_count, bucket cursor, insert cursor, inserted, deleted]
+    state = np.array([storage._linked_used, free_nodes.shape[0], 0, -1, 0, 0], dtype=np.int64)
+    work = np.zeros(slices[0].shape[0], dtype=np.int64)
+    key_is_64 = storage.key_dtype.itemsize == 8
+
+    while True:
+        needs_room = apply_kernel(
+            slices[0].shape[0],
+            *(column.ctypes.data for column in slices),
+            delete64.ctypes.data,
+            insert64.ctypes.data,
+            insert_rows.ctypes.data,
+            overflow_bucket,
+            storage.node_capacity,
+            key_is_64,
+            storage.keys_matrix.ctypes.data,
+            storage.row_ids_matrix.ctypes.data,
+            storage.sizes_array.ctypes.data,
+            storage.max_keys_array.ctypes.data,
+            storage.next_array.ctypes.data,
+            storage.num_representative_nodes,
+            storage.linked_region_capacity,
+            free_nodes.ctypes.data,
+            state.ctypes.data,
+            work.ctypes.data,
+        )
+        storage._linked_used = int(state[0])
+        del storage._free_nodes[int(state[1]) :]
+        if not needs_room:
+            return int(state[4]), int(state[5]), work
+        storage._grow_linked_region()

@@ -696,37 +696,13 @@ class CgRXuIndex(GpuIndex):
         uppers = self._bucket_uppers
         lowers = np.concatenate([[np.uint64(0)], uppers[:-1] + np.uint64(1)])
 
-        inserted = 0
-        deleted = 0
-        per_bucket_work: List[int] = []
-        apply_stats = KernelStats(
-            name="cgrxu.apply", threads=self.overflow_bucket + 1, launches=1
-        )
         num_buckets = self.overflow_bucket + 1
+        apply_stats = KernelStats(name="cgrxu.apply", threads=num_buckets, launches=1)
         # Two binary searches on the sorted batch identify each thread's slice.
         slice_ops = 2 * max(1, int(np.log2(max(insert_keys.shape[0], 2))))
 
-        if self.config.engine in ("vector", "compiled"):
-            # Vectorized partitioning: both binary-search sweeps over the
-            # sorted batch run as single searchsorted calls, and only buckets
-            # that actually received work are visited below.
-            deletes_lo, deletes_hi = self._batch_ranges(delete_keys, lowers, uppers)
-            inserts_lo_all, inserts_hi_all = self._batch_ranges(insert_keys, lowers, uppers)
-            apply_stats.compute_ops += num_buckets * slice_ops
-            touched = np.nonzero(
-                (deletes_hi > deletes_lo) | (inserts_hi_all > inserts_lo_all)
-            )[0]
-            bucket_slices = [
-                (
-                    int(bucket),
-                    int(deletes_lo[bucket]),
-                    int(deletes_hi[bucket]),
-                    int(inserts_lo_all[bucket]),
-                    int(inserts_hi_all[bucket]),
-                )
-                for bucket in touched
-            ]
-        else:
+        engine = resolve_engine(self.config.engine)
+        if engine == "scalar":
             bucket_slices = []
             for bucket in range(num_buckets):
                 low = int(lowers[bucket])
@@ -735,37 +711,41 @@ class CgRXuIndex(GpuIndex):
                 i_lo, i_hi = self._batch_range(insert_keys, low, high)
                 apply_stats.compute_ops += slice_ops
                 bucket_slices.append((bucket, d_lo, d_hi, i_lo, i_hi))
+            buckets, deletes_lo, deletes_hi, inserts_lo, inserts_hi = (
+                np.array(column, dtype=np.int64) for column in zip(*bucket_slices)
+            )
+        else:
+            # Vectorized partitioning: both binary-search sweeps over the
+            # sorted batch run as single searchsorted calls, and only buckets
+            # that actually received work are visited below.
+            deletes_lo, deletes_hi = self._batch_ranges(delete_keys, lowers, uppers)
+            inserts_lo, inserts_hi = self._batch_ranges(insert_keys, lowers, uppers)
+            apply_stats.compute_ops += num_buckets * slice_ops
+            buckets = np.nonzero((deletes_hi > deletes_lo) | (inserts_hi > inserts_lo))[0]
+            deletes_lo, deletes_hi, inserts_lo, inserts_hi = (
+                column[buckets] for column in (deletes_lo, deletes_hi, inserts_lo, inserts_hi)
+            )
 
-        # Invalidate before mutating and keep the entry count per-operation:
-        # even if the apply is interrupted mid-batch, later reads see the
-        # live chains and a correct count.
+        # Invalidate before mutating: later reads must see the live chains.
         self._chain_cache = None
+        slices = (buckets, deletes_lo, deletes_hi, inserts_lo, inserts_hi)
+        applied = None
+        if engine == "compiled":
+            from repro.core import compiled as core_compiled
 
-        for bucket, delete_lo, delete_hi, inserts_lo, inserts_hi in bucket_slices:
-            work = 0
+            applied = core_compiled.apply_updates(
+                self.nodes, self.overflow_bucket, *slices, delete_keys, insert_keys, insert_row_ids
+            )
+        if applied is None:
+            applied = self._apply_slices(*slices, delete_keys, insert_keys, insert_row_ids)
+        inserted, deleted, work = applied
+        self._num_entries += inserted - deleted
 
-            for key in delete_keys[delete_lo:delete_hi]:
-                removed, visited = self._delete_one(bucket, int(key))
-                deleted += int(removed)
-                self._num_entries -= int(removed)
-                work += visited
-                apply_stats.bytes_read += visited * self.config.node_bytes
-                apply_stats.bytes_written += self.config.node_bytes // 2
-
-            for offset in range(inserts_lo, inserts_hi):
-                visited = self._insert_one(
-                    bucket, int(insert_keys[offset]), int(insert_row_ids[offset])
-                )
-                inserted += 1
-                self._num_entries += 1
-                work += visited
-                apply_stats.bytes_read += visited * self.config.node_bytes
-                apply_stats.bytes_written += self.config.node_bytes // 2
-
-            if work:
-                per_bucket_work.append(work)
-
-        apply_stats.divergence = divergence_factor(per_bucket_work)
+        # Every attempted delete and every insert rewrites half a node.
+        attempted = inserted + int(np.maximum(deletes_hi - deletes_lo, 0).sum())
+        apply_stats.bytes_read += int(work.sum()) * self.config.node_bytes
+        apply_stats.bytes_written += attempted * (self.config.node_bytes // 2)
+        apply_stats.divergence = divergence_factor(work[work > 0].tolist())
         stats.merge(apply_stats)
         return UpdateResult(inserted=inserted, deleted=deleted, stats=stats, rebuilt=False)
 
@@ -803,6 +783,48 @@ class CgRXuIndex(GpuIndex):
         lo[~valid] = 0
         hi[~valid] = 0
         return lo, hi
+
+    def _apply_slices(
+        self,
+        buckets: np.ndarray,
+        deletes_lo: np.ndarray,
+        deletes_hi: np.ndarray,
+        inserts_lo: np.ndarray,
+        inserts_hi: np.ndarray,
+        delete_keys: np.ndarray,
+        insert_keys: np.ndarray,
+        insert_row_ids: np.ndarray,
+    ) -> Tuple[int, int, np.ndarray]:
+        """Per-key apply of an update batch, one bucket's slices at a time.
+
+        The reference the compiled ``apply_updates`` kernel mirrors (and the
+        path without a compiler).  Buckets run in ascending order, deletes
+        before inserts.  Returns ``(inserted, deleted, work)`` with
+        ``work[i]`` the nodes visited for ``buckets[i]``.
+        """
+        inserted = 0
+        deleted = 0
+        work = np.zeros(buckets.shape[0], dtype=np.int64)
+        rows = zip(
+            buckets.tolist(),
+            deletes_lo.tolist(),
+            deletes_hi.tolist(),
+            inserts_lo.tolist(),
+            inserts_hi.tolist(),
+        )
+        for position, (bucket, delete_lo, delete_hi, insert_lo, insert_hi) in enumerate(rows):
+            visited = 0
+            for key in delete_keys[delete_lo:delete_hi].tolist():
+                removed, nodes = self._delete_one(bucket, key)
+                deleted += int(removed)
+                visited += nodes
+            for offset in range(insert_lo, insert_hi):
+                visited += self._insert_one(
+                    bucket, int(insert_keys[offset]), int(insert_row_ids[offset])
+                )
+                inserted += 1
+            work[position] = visited
+        return inserted, deleted, work
 
     def _delete_one(self, bucket: int, key: int) -> Tuple[bool, int]:
         """Delete one occurrence of ``key`` starting at ``bucket``'s chain.

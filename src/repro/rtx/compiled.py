@@ -120,12 +120,13 @@ def available_backend() -> Optional[str]:
     library = _load_cc_library()
     if library is not None:
         _BACKEND = "cc"
-        _KERNELS = (_bind_locate(library), _make_cc_chain(library))
+        _KERNELS = (_bind_locate(library), _make_cc_chain(library), _bind_apply(library))
     return _BACKEND
 
 
 def backend_kernels() -> Optional[Tuple]:
-    """``(locate_kernel, chain_kernel)`` of the active backend, or ``None``."""
+    """``(locate_kernel, chain_kernel, apply_kernel)`` of the active backend,
+    or ``None``."""
     if available_backend() is None:
         return None
     return _KERNELS
@@ -147,6 +148,7 @@ def record_fallback(reason: str) -> None:
 _CC_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 #define MAX_STACK 512
 /* locate_buckets reports, per ray stage, one row of STAGE_COLUMNS totals:
@@ -431,6 +433,182 @@ void chain_walk(
         entries[k] = touched;
     }
 }
+
+/* The NodeStorage slab arrays and allocator state apply_updates mutates. */
+typedef struct {
+    void* keys;                 /* (total, capacity) uint32 or uint64 */
+    uint32_t* row_ids;
+    int32_t* sizes;
+    uint64_t* max_keys;
+    int64_t* next;
+    int64_t capacity;
+    size_t key_width;
+    int64_t num_representative;
+    int64_t linked_capacity;
+    int64_t linked_used;
+    const int64_t* free_nodes;
+    int64_t free_count;
+} Slab;
+
+static inline uint64_t slab_key(const Slab* s, int64_t node, int64_t slot)
+{
+    const int64_t at = node * s->capacity + slot;
+    return s->key_width == 8 ? ((const uint64_t*)s->keys)[at]
+                             : (uint64_t)((const uint32_t*)s->keys)[at];
+}
+
+static inline void set_entry(Slab* s, int64_t node, int64_t slot, uint64_t key, uint32_t row)
+{
+    const int64_t at = node * s->capacity + slot;
+    if (s->key_width == 8) ((uint64_t*)s->keys)[at] = key;
+    else ((uint32_t*)s->keys)[at] = (uint32_t)key;
+    s->row_ids[at] = row;
+}
+
+/* Copy `count` (key, rowID) slots from (src_node, src) to (dst_node, dst);
+   overlapping ranges of one node shift like numpy's slice assignment. */
+static inline void move_entries(Slab* s, int64_t dst_node, int64_t dst,
+                                int64_t src_node, int64_t src, int64_t count)
+{
+    if (count <= 0) return;
+    char* keys = (char*)s->keys;
+    const size_t w = s->key_width;
+    memmove(keys + (size_t)(dst_node * s->capacity + dst) * w,
+            keys + (size_t)(src_node * s->capacity + src) * w, (size_t)count * w);
+    memmove(s->row_ids + dst_node * s->capacity + dst,
+            s->row_ids + src_node * s->capacity + src, (size_t)count * sizeof(uint32_t));
+}
+
+/* np.searchsorted(node_keys[:size], key, side="left") */
+static inline int64_t lower_bound(const Slab* s, int64_t node, int64_t size, uint64_t key)
+{
+    int64_t lo = 0, hi = size;
+    while (lo < hi) {
+        const int64_t mid = (lo + hi) >> 1;
+        if (slab_key(s, node, mid) < key) lo = mid + 1;
+        else hi = mid;
+    }
+    return lo;
+}
+
+/* CgRXuIndex._delete_one: remove one occurrence of `key`, continuing into
+   the next bucket while a chain ends without a larger key. */
+static int delete_one(Slab* s, int64_t bucket, int64_t overflow_bucket,
+                      uint64_t key, int64_t* visits)
+{
+    for (int64_t current = bucket; current <= overflow_bucket; current++) {
+        for (int64_t node = current; node != -1; node = s->next[node]) {
+            (*visits)++;
+            const int64_t size = s->sizes[node];
+            if (s->max_keys[node] < key && s->next[node] != -1) continue;
+            const int64_t pos = lower_bound(s, node, size, key);
+            if (pos < size && slab_key(s, node, pos) == key) {
+                move_entries(s, node, pos, node, pos + 1, size - pos - 1);
+                s->sizes[node] = (int32_t)(size - 1);
+                return 1;
+            }
+            if (pos < size) return 0;   /* a larger key ends the search */
+        }
+    }
+    return 0;
+}
+
+/* CgRXuIndex._insert_one.  Returns 0 without mutating anything when the
+   target node is full and the linked region has no node left to split into. */
+static int insert_one(Slab* s, int64_t bucket, uint64_t key, uint32_t row, int64_t* visits)
+{
+    int64_t walked = 0, target = bucket;
+    for (int64_t node = bucket; node != -1; node = s->next[node]) {
+        walked++;
+        target = node;
+        if (s->max_keys[node] >= key) break;
+    }
+    if (s->sizes[target] >= s->capacity) {
+        /* NodeStorage.split_node: the fresh node takes the upper half, the
+           old maxKey and the old next pointer. */
+        int64_t fresh;
+        if (s->free_count > 0) fresh = s->free_nodes[--s->free_count];
+        else if (s->linked_used < s->linked_capacity)
+            fresh = s->num_representative + s->linked_used++;
+        else return 0;
+        const int64_t size = s->sizes[target];
+        const int64_t half = size / 2;
+        move_entries(s, fresh, 0, target, half, size - half);
+        s->sizes[fresh] = (int32_t)(size - half);
+        s->max_keys[fresh] = s->max_keys[target];
+        s->sizes[target] = (int32_t)half;
+        s->max_keys[target] = slab_key(s, target, half - 1);
+        s->next[fresh] = s->next[target];
+        s->next[target] = fresh;
+        walked++;
+        if (key > s->max_keys[target]) target = fresh;
+    }
+    const int64_t size = s->sizes[target];
+    const int64_t pos = lower_bound(s, target, size, key);
+    move_entries(s, target, pos + 1, target, pos, size - pos);
+    set_entry(s, target, pos, key, row);
+    s->sizes[target] = (int32_t)(size + 1);
+    *visits += walked;
+    return 1;
+}
+
+/* One update batch, one "thread" per touched bucket in ascending order,
+   deletes before inserts (CgRXuIndex.update_batch's apply loop).
+   state = [linked_used, free_count, bucket cursor, insert cursor (-1: the
+   bucket's deletes are still pending), inserted, deleted]; work[b] adds
+   touched bucket b's node visits.  Returns 1 when a split needs a node the
+   slab does not have: state then holds the resume cursor, and the caller
+   grows the slab and calls again.  Returns 0 when the batch is applied. */
+int32_t apply_updates(
+    int64_t num_buckets,
+    const int64_t* buckets,
+    const int64_t* delete_lo, const int64_t* delete_hi,
+    const int64_t* insert_lo, const int64_t* insert_hi,
+    const uint64_t* delete_keys,
+    const uint64_t* insert_keys,
+    const uint32_t* insert_rows,
+    int64_t overflow_bucket,
+    int32_t capacity,
+    int32_t key_is_64,
+    void* keys_slab, uint32_t* row_ids, int32_t* sizes,
+    uint64_t* max_keys, int64_t* next_node,
+    int64_t num_representative,
+    int64_t linked_capacity,
+    const int64_t* free_nodes,
+    int64_t* state,
+    int64_t* work)
+{
+    Slab s = {keys_slab, row_ids, sizes, max_keys, next_node, capacity,
+              key_is_64 ? 8 : 4, num_representative, linked_capacity,
+              state[0], free_nodes, state[1]};
+    int64_t resume_insert = state[3];
+    int32_t status = 0;
+    int64_t b = state[2];
+    for (; b < num_buckets; b++) {
+        const int64_t bucket = buckets[b];
+        int64_t first_insert = insert_lo[b];
+        if (resume_insert >= 0) {
+            first_insert = resume_insert;
+            resume_insert = -1;
+        } else {
+            for (int64_t d = delete_lo[b]; d < delete_hi[b]; d++)
+                state[5] += delete_one(&s, bucket, overflow_bucket, delete_keys[d], &work[b]);
+        }
+        for (int64_t i = first_insert; i < insert_hi[b]; i++) {
+            if (!insert_one(&s, bucket, insert_keys[i], insert_rows[i], &work[b])) {
+                state[3] = i;
+                status = 1;
+                break;
+            }
+            state[4]++;
+        }
+        if (status) break;
+    }
+    state[0] = s.linked_used;
+    state[1] = s.free_count;
+    state[2] = b;
+    return status;
+}
 """
 
 
@@ -602,6 +780,20 @@ def _make_cc_chain(library: ctypes.CDLL):
         )
 
     return chain_kernel
+
+
+def _bind_apply(library: ctypes.CDLL):
+    fn = library.apply_updates
+    fn.restype = ctypes.c_int32
+    fn.argtypes = (
+        [ctypes.c_int64]
+        + [ctypes.c_void_p] * 8
+        + [ctypes.c_int64, ctypes.c_int32, ctypes.c_int32]
+        + [ctypes.c_void_p] * 5
+        + [ctypes.c_int64, ctypes.c_int64]
+        + [ctypes.c_void_p] * 3
+    )
+    return fn
 
 
 # --------------------------------------------------------------------------

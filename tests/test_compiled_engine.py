@@ -392,6 +392,48 @@ def test_degraded_compiled_index_matches_vector(pinned_backend):
     assert degraded.compiled_buffers_bytes() == 0
 
 
+def test_degraded_compiled_update_runs_python_apply(pinned_backend, monkeypatch):
+    """No backend: engine="compiled" applies updates with the per-key Python
+    apply, identically to vector, and records the fallback."""
+    from repro.obs.profile import disable_profiling, enable_profiling
+
+    pinned_backend("none")
+    keyset = generate_keys(1024, uniformity=0.5, key_bits=32, seed=73)
+    vector = CgRXuIndex(keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=32, engine="vector"))
+    degraded = CgRXuIndex(
+        keyset.keys, keyset.row_ids, CgRXuConfig(key_bits=32, engine="compiled")
+    )
+    python_applies = []
+    apply_slices = CgRXuIndex._apply_slices
+
+    def spy(index, *args):
+        python_applies.append(index is degraded)
+        return apply_slices(index, *args)
+
+    monkeypatch.setattr(CgRXuIndex, "_apply_slices", spy)
+    profile = enable_profiling()
+    try:
+        for wave in update_waves(
+            keyset, num_insert_waves=2, num_delete_waves=1, growth_factor=1.5, seed=74
+        ):
+            batch = dict(
+                insert_keys=wave.insert_keys if wave.insert_keys.size else None,
+                insert_row_ids=wave.insert_row_ids if wave.insert_keys.size else None,
+                delete_keys=wave.delete_keys if wave.delete_keys.size else None,
+            )
+            expected, actual = vector.update_batch(**batch), degraded.update_batch(**batch)
+            assert (expected.inserted, expected.deleted) == (actual.inserted, actual.deleted)
+            assert_stats_identical(expected.stats, actual.stats)
+    finally:
+        disable_profiling()
+    assert python_applies.count(True) == 3
+    for name in ("_keys", "_row_ids", "_sizes", "_max_keys", "_next"):
+        assert getattr(vector.nodes, name).tobytes() == getattr(degraded.nodes, name).tobytes()
+    assert len(vector) == len(degraded)
+    gauges = profile.registry.labeled_values("compiled_engine_fallback")
+    assert gauges == {'compiled_engine_fallback{reason="no_backend"}': 1.0}
+
+
 def test_degradation_records_telemetry(pinned_backend):
     from repro.obs.profile import disable_profiling, enable_profiling
 
