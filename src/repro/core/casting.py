@@ -39,7 +39,6 @@ class SceneCaster:
         from_x: float,
         grid_y: float,
         grid_z: float,
-        tmax: float = float("inf"),
         stats: Optional[RayStats] = None,
     ) -> HitRecord:
         """Ray along +x starting just before grid column ``from_x`` in row (y, z)."""
@@ -48,7 +47,7 @@ class SceneCaster:
             float(grid_y) * self._mapping.y_scale,
             float(grid_z) * self._mapping.z_scale,
         )
-        return self._pipeline.cast_axis_closest(0, origin, tmax, stats)
+        return self._pipeline.cast_axis_closest(0, origin, float("inf"), stats)
 
     def y_cast(
         self,
@@ -102,16 +101,14 @@ class SceneCaster:
         )
         return np.stack([xs, ys, zs], axis=1)
 
-    def x_cast_batch(
-        self, from_x, grid_y, grid_z, tmax=None, stats: Optional[RayStats] = None
-    ):
+    def x_cast_batch(self, from_x, grid_y, grid_z, stats: Optional[RayStats] = None):
         """Batched :meth:`x_cast`: one +x ray per grid position."""
         origins = self._origins(
             np.asarray(from_x, dtype=np.float64) - RAY_START_OFFSET,
             np.asarray(grid_y, dtype=np.float64) * self._mapping.y_scale,
             np.asarray(grid_z, dtype=np.float64) * self._mapping.z_scale,
         )
-        return self._pipeline.cast_axis_closest_batch(0, origins, tmax, stats)
+        return self._pipeline.cast_axis_closest_batch(0, origins, None, stats)
 
     def y_cast_batch(self, grid_x, from_y, grid_z, stats: Optional[RayStats] = None):
         """Batched :meth:`y_cast`."""

@@ -25,7 +25,6 @@ from repro.core.config import CgRXConfig, Representation, resolve_engine
 from repro.core.key_mapping import KeyMapping
 from repro.core.naive import NaiveRepresentation
 from repro.core.optimized import OptimizedRepresentation
-from repro.core.representation import MISS
 from repro.gpu.accel import accel_build_stats, triangle_generation_stats
 from repro.gpu.cost_model import RT_NODE_RESIDUAL_BYTES, RT_TRIANGLE_RESIDUAL_BYTES
 from repro.gpu.device import RTX_4090, GpuDevice
@@ -125,7 +124,8 @@ class CgRXIndex(GpuIndex):
     ) -> Tuple[np.ndarray, RayStats, List[int]]:
         """Run the raytracing stage for a batch of keys.
 
-        Returns the bucketID per key (:data:`MISS` for out-of-range keys), the
+        Returns the bucketID per key
+        (:data:`~repro.core.representation.MISS` for out-of-range keys), the
         aggregated ray statistics and a sample of per-lookup work used for the
         divergence estimate.  The vector engine answers the batch with one
         wavefront launch per ray stage; the compiled engine with one fused

@@ -7,8 +7,8 @@ programming model at the granularity the paper needs:
 * write triangles into a vertex buffer,
 * ``build_acceleration_structure()`` (``optixAccelBuild``),
 * ``update_acceleration_structure()`` (refit-only update),
-* fire rays one at a time (``cast_closest`` / ``cast_all`` and their
-  axis-aligned fast paths), as wavefront batches of axis-aligned rays
+* fire axis-aligned rays one at a time (``cast_axis_closest`` /
+  ``cast_axis_all``), as wavefront batches of axis-aligned rays
   (``cast_axis_closest_batch`` / ``cast_axis_all_batch``), or as one fused
   cgRX bucket-location call (``locate_buckets_batch``), and
 * query the device memory footprint of buffer plus BVH.
@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.rtx.bvh import Bvh, BvhBuildConfig, build_bvh
-from repro.rtx.geometry import HitRecord, Ray
+from repro.rtx.geometry import HitRecord
 from repro.rtx.refit import refit_bvh
 from repro.rtx.scene import BuildFlags, TriangleScene, VertexBuffer
 from repro.rtx.traversal import RayStats, TraversalEngine
@@ -101,14 +101,6 @@ class RaytracingPipeline:
         return self._bvh is not None
 
     # -------------------------------------------------------------- traversal
-
-    def cast_closest(self, ray: Ray, stats: Optional[RayStats] = None) -> HitRecord:
-        """Fire a single ray and return its closest hit."""
-        return self._require_engine().trace_closest(ray, stats)
-
-    def cast_all(self, ray: Ray, stats: Optional[RayStats] = None) -> List[HitRecord]:
-        """Fire a single ray and return all hits along it, nearest first."""
-        return self._require_engine().trace_all(ray, stats)
 
     def cast_axis_closest(
         self,

@@ -299,12 +299,6 @@ class ReliabilityState:
 
     # ---------------------------------------------------------------- report
 
-    def breaker_states(self) -> Dict[str, str]:
-        return {
-            f"{shard}:{replica}": breaker.state
-            for (shard, replica), breaker in sorted(self._breakers.items())
-        }
-
     def snapshot(self) -> dict:
         threshold = self.hedge_threshold_ms()
         report = {

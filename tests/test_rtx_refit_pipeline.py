@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.rtx.bvh import BvhBuildConfig, build_bvh
-from repro.rtx.geometry import Ray, make_key_triangle
+from repro.rtx.geometry import make_key_triangle
 from repro.rtx.pipeline import RaytracingPipeline
 from repro.rtx.refit import refit_bvh, total_overlap_area
-from repro.rtx.scene import TriangleScene, VertexBuffer
+from repro.rtx.scene import TriangleScene
 from repro.rtx.traversal import RayStats
 
 
@@ -74,14 +74,14 @@ class TestPipeline:
         pipeline = RaytracingPipeline()
         pipeline.vertex_buffer.write_key_triangle(0, 1.0, 0.0, 0.0)
         with pytest.raises(RuntimeError):
-            pipeline.cast_closest(Ray(origin=[0, 0, 0], direction=[1, 0, 0]))
+            pipeline.cast_axis_closest(0, (0.0, 0.0, 0.0))
         with pytest.raises(RuntimeError):
             _ = pipeline.bvh
 
     def test_build_and_cast(self):
         pipeline = make_pipeline([(3, 0, 0), (7, 0, 0)])
         assert pipeline.is_built
-        hit = pipeline.cast_closest(Ray(origin=[-0.5, 0.0, 0.0], direction=[1.0, 0.0, 0.0]))
+        hit = pipeline.cast_axis_closest(0, (-0.5, 0.0, 0.0))
         assert hit and hit.primitive_index == 0
         assert pipeline.build_count == 1
 
@@ -97,7 +97,7 @@ class TestPipeline:
         stats = RayStats()
         pipeline.cast_axis_closest(0, (-0.5, 0.0, 0.0), stats=stats)
         pipeline.cast_axis_closest(0, (-0.5, 1.0, 0.0), stats=stats)
-        pipeline.cast_closest(Ray(origin=[-0.5, 0.0, 0.0], direction=[1.0, 0.0, 0.0]), stats)
+        pipeline.cast_axis_closest(0, (-0.5, 0.0, 0.0), stats=stats)
         assert stats.rays_cast == 3
         assert stats.hits == 2
         assert stats.misses == 1
