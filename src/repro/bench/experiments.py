@@ -1308,7 +1308,9 @@ def hotpath(
     Unlike every other experiment (which reports simulated GPU time), this one
     measures how long the reproduction itself takes to answer batches — the
     repo's wall-clock perf trajectory.  One cgRXu index is built per workload
-    and queried under all three engines (best of ``repeats``); every row
+    and queried under all three engines (best of ``repeats``; the update
+    panel, which needs a fresh index per sample, reports the median of
+    ``repeats`` rounds in alternating engine order); every row
     carries an ``identical`` flag proving the batch engines returned
     byte-identical answers *and* identical instrumentation counters.
 
@@ -1322,6 +1324,7 @@ def hotpath(
 
     ``quick=True`` shrinks the workload for CI smoke runs.
     """
+    import statistics
     import time
 
     if quick:
@@ -1429,29 +1432,33 @@ def hotpath(
         ),
     )
 
-    # (c) Update batch: fresh indexes (updates mutate), one per engine.
+    # (c) Update batch: updates mutate, so every sample runs on a fresh
+    # index.  Each of ``repeats`` rounds times all three engines, the order
+    # reversing every round, and the row reports per-engine medians.
     rng = np.random.default_rng(seed + 2)
     insert_keys = rng.choice(keyset.keys, size=update_size).astype(keyset.keys.dtype)
     delete_keys = rng.choice(
         keyset.keys, size=update_size // 2, replace=False
     ).astype(keyset.keys.dtype)
+    engines = ("scalar", "vector", "compiled")
+    update_samples = {engine: [] for engine in engines}
     updates = {}
-    for engine in ("scalar", "vector", "compiled"):
-        fresh = CgRXuIndex(
-            keyset.keys,
-            keyset.row_ids,
-            CgRXuConfig(key_bits=key_bits, engine=engine),
-        )
-        start = time.perf_counter()
-        outcome = fresh.update_batch(insert_keys=insert_keys, delete_keys=delete_keys)
-        updates[engine] = (time.perf_counter() - start, outcome, fresh)
-    scalar_s, scalar_update, scalar_index = updates["scalar"]
-    vector_s, vector_update, vector_index = updates["vector"]
-    compiled_s, compiled_update, compiled_index = updates["compiled"]
-    entries = {
-        engine: updates[engine][2].export_entries()
-        for engine in ("scalar", "vector", "compiled")
-    }
+    for round_index in range(repeats):
+        for engine in engines if round_index % 2 == 0 else engines[::-1]:
+            fresh = CgRXuIndex(
+                keyset.keys,
+                keyset.row_ids,
+                CgRXuConfig(key_bits=key_bits, engine=engine),
+            )
+            start = time.perf_counter()
+            outcome = fresh.update_batch(insert_keys=insert_keys, delete_keys=delete_keys)
+            update_samples[engine].append(time.perf_counter() - start)
+            updates[engine] = (outcome, fresh.export_entries())
+    scalar_s, vector_s, compiled_s = (
+        statistics.median(update_samples[engine]) for engine in engines
+    )
+    scalar_update, vector_update, compiled_update = (updates[engine][0] for engine in engines)
+    entries = {engine: updates[engine][1] for engine in engines}
 
     def update_identical(a, b, a_entries, b_entries) -> bool:
         return bool(

@@ -1,4 +1,4 @@
-"""Compiled node-chain kernels for cgRXu point lookups.
+"""Compiled node-chain kernels for cgRXu: point-lookup walk and update apply.
 
 The vector engine's batched chain walk (``CgRXuIndex._collect_batch``)
 advances all still-searching keys one node per lockstep iteration — ~15
@@ -17,6 +17,17 @@ The walk mirrors ``CgRXuIndex._collect`` exactly — skip rule, per-node
 ``searchsorted`` window, entries-touched accounting and the cross-bucket
 duplicate-group continuation — so results and kernel counters stay
 byte-identical to both reference engines.
+
+**Update apply.**  :func:`apply_updates` hands a sorted, cancelled update
+batch and its per-bucket slices to one C call that runs the paper's one
+thread per bucket serially: touched buckets in ascending order, deletes
+before inserts, writing the slab arrays in place.  It repeats the per-key
+Python apply (``CgRXuIndex._apply_slices``) exactly — the delete skip rule
+and its walk into the next bucket, the insert target and split-on-full, the
+element shifts that leave stale slots untouched, and the allocator order
+(free list popped from the end, then bump) — so the slabs stay
+byte-identical.  When a split finds the linked region full, the kernel
+returns a resume cursor; the slab is doubled in Python and the call resumes.
 """
 
 from __future__ import annotations

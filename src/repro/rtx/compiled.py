@@ -30,6 +30,8 @@ ray sequence inside one kernel.
 * **Shard-local arenas.**  All node tables live in one reusable byte buffer
   that is rebuilt in place across build/refit epochs instead of reallocated.
 
+The same C source holds cgRXu's node-chain kernels (the point-lookup walk
+and the update apply), whose wrappers live in :mod:`repro.core.compiled`.
 The kernels are C, compiled at first use with the system C compiler into a
 cached shared library and bound through :mod:`ctypes`; no Python dependency
 beyond the standard library.  ``REPRO_COMPILED_BACKEND=none`` disables the
